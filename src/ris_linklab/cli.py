@@ -26,7 +26,7 @@ import numpy as np
 from . import analytic
 from .analytic import AnalyticModel, QuadratureSpec, db_to_linear, required_snr_db
 from .modulation import ConstellationKind, build_constellation
-from .montecarlo import SweepPoint, SweepSpec, run_sweep
+from .montecarlo import STREAM_INDEX_LIMIT, SweepPoint, SweepSpec, run_sweep
 from .schemes import Scheme, SchemeConfig
 
 CSV_HEADER = ["scheme", "N", "M", "snr_db", "metric", "value", "trials", "errors", "stderr"]
@@ -138,9 +138,13 @@ def write_plot_script(csv_path: Path) -> Path:
 
 
 def _snr_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    if not all(np.isfinite((start, stop, step))):
+        raise ValueError(f"SNR grid values must be finite, got start {start}, stop {stop}, step {step}")
     if step <= 0 or stop < start:
         raise ValueError("need snr step > 0 and stop >= start")
     count = int(round((stop - start) / step)) + 1
+    if count >= STREAM_INDEX_LIMIT:
+        raise ValueError(f"SNR grid has {count} points; it must have fewer than 2**32")
     return tuple(start + k * step for k in range(count))
 
 

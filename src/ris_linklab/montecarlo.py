@@ -1,8 +1,21 @@
 """Monte Carlo link simulation over an SNR grid.
 
-Trials are fast-fading: every trial draws a fresh channel realization, a
+Trials are fast-fading: every trial draws a fresh composite channel gain, a
 uniform symbol (or message), and a noise sample, then runs coherent
-maximum-likelihood detection against the composite gain.
+maximum-likelihood detection against that gain.
+
+Each chunk draws from its own stream in a fixed order: the gain block(s)
+of :func:`~ris_linklab.schemes.draw_gains`, then the symbol indices, then
+the real and the imaginary noise blocks.  Per scheme the gain blocks are
+
+* ``dh_intelligent``: Rayleigh alpha (trials x N), then Rayleigh beta;
+* ``ap_intelligent``: Rayleigh beta (trials x N);
+* ``dh_blind``: Gamma(N, 1) (trials), then Re and Im of CN(0, 1);
+* ``ap_blind``: Re and Im of CN(0, 1) (trials), scaled by sqrt(N).
+
+The blind gains are drawn from their exact laws, not from N per-element
+coefficients; ``tests/per_element.py`` holds the per-element channel they
+are tested against.
 
 Work is organized in fixed-size chunks.  Chunk ``k`` of grid point ``p``
 always consumes the stream ``(seed, p * 2**32 + k)``, and a point stops at
@@ -16,15 +29,19 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import RAYLEIGH_SCALE, RngStream
-from .schemes import Scheme, SchemeConfig
+from .schemes import SchemeConfig, draw_gains
 
 WORKERS_ENV_VAR = "RIS_LINKLAB_THREADS"
+
+# Stream ids are (point << 32) | chunk, so both indices must stay below 2**32.
+STREAM_INDEX_LIMIT = 2**32
 
 __all__ = [
     "WORKERS_ENV_VAR",
@@ -43,6 +60,9 @@ class SweepSpec:
     point runs until ``min_errors`` symbol errors are seen or ``max_trials``
     trials are exhausted, in chunks of ``chunk_size`` trials.  ``noiseless``
     is a test hook that runs the zero-noise limit of the receiver path.
+
+    Grid values must be finite, and the grid and the chunk count per point
+    must each stay below 2**32 so that every chunk has its own stream.
     """
 
     config: SchemeConfig
@@ -54,16 +74,31 @@ class SweepSpec:
     noiseless: bool = False
 
     def __post_init__(self) -> None:
+        # Checked before the grid is copied, so a huge grid is never built.
+        if len(self.snr_grid_db) >= STREAM_INDEX_LIMIT:
+            raise ValueError(
+                f"snr_grid_db has {len(self.snr_grid_db)} points; "
+                "it must have fewer than 2**32 so each point has its own streams"
+            )
         grid = tuple(float(v) for v in self.snr_grid_db)
         object.__setattr__(self, "snr_grid_db", grid)
         if len(grid) == 0:
             raise ValueError("snr_grid_db must not be empty")
+        bad = [v for v in grid if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"snr_grid_db values must be finite, got {bad[0]}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
         if self.min_errors < 1:
             raise ValueError(f"min_errors must be >= 1, got {self.min_errors}")
         if self.chunk_size < 1 or self.max_trials < self.chunk_size:
             raise ValueError("need max_trials >= chunk_size >= 1")
+        chunks = math.ceil(self.max_trials / self.chunk_size)
+        if chunks >= STREAM_INDEX_LIMIT:
+            raise ValueError(
+                f"max_trials / chunk_size gives {chunks} chunks per point; "
+                "it must be fewer than 2**32 so each chunk has its own stream"
+            )
 
 
 @dataclass(frozen=True)
@@ -113,36 +148,22 @@ def _chunk_counts(
 ) -> tuple[int, int]:
     """Run one chunk of trials; return (symbol_errors, bit_errors).
 
-    Draw order per chunk is fixed: channel block(s), then symbol indices,
-    then the noise block.  Intelligent schemes sample the channel
-    amplitudes directly (Rayleigh by inverse CDF, which is exact): after
-    ideal phase cancellation the received sample depends on the channel
-    only through those amplitudes.
+    Draw order per chunk is fixed: the gain block(s) of ``draw_gains``
+    (listed per scheme in the module docstring), then symbol indices, then
+    the real and the imaginary noise blocks.  Only the composite gain
+    enters the received sample and the detector, so each scheme draws the
+    exact law of that gain: Rayleigh amplitudes (by inverse CDF) for the
+    intelligent schemes, the low-dimensional Gaussian (mixture) law for the
+    blind ones.
     """
     rng = stream.generator()
-    n = config.n_reflectors
-    scheme = config.scheme
     const = config.constellation
     m = const.order
     # Es/N0 is swept by scaling noise at fixed unit symbol energy.
     es = 1.0
     n0 = 10.0 ** (-snr_db / 10.0)
 
-    if scheme is Scheme.DH_INTELLIGENT:
-        alpha = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-        beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-        gain = np.einsum("ij,ij->i", alpha, beta)
-    elif scheme is Scheme.DH_BLIND:
-        h = (rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))) * RAYLEIGH_SCALE
-        g = (rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))) * RAYLEIGH_SCALE
-        gain = np.einsum("ij,ij->i", h, g)
-    elif scheme is Scheme.AP_INTELLIGENT:
-        beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-        gain = beta.sum(axis=1)
-    else:  # AP_BLIND
-        g = (rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))) * RAYLEIGH_SCALE
-        gain = g.sum(axis=1)
-
+    gain = draw_gains(config.scheme, config.n_reflectors, rng, trials)
     tx = rng.integers(0, m, size=trials)
     received = np.sqrt(es) * gain * const.points[tx]
     if not noiseless:
@@ -172,7 +193,11 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _run_point(
-    spec: SweepSpec, point_index: int, snr_db: float, workers: int
+    spec: SweepSpec,
+    point_index: int,
+    snr_db: float,
+    pool: ThreadPoolExecutor | None,
+    workers: int,
 ) -> SweepPoint:
     n_chunks = math.ceil(spec.max_trials / spec.chunk_size)
 
@@ -183,29 +208,20 @@ def _run_point(
         sym, bit = _chunk_counts(spec.config, snr_db, stream, trials, spec.noiseless)
         return trials, sym, bit
 
-    total_trials = total_sym = total_bit = 0
-
-    def accumulate(results) -> bool:
-        nonlocal total_trials, total_sym, total_bit
-        for trials, sym, bit in results:
-            total_trials += trials
-            total_sym += sym
-            total_bit += bit
-            if total_sym >= spec.min_errors:
-                return True
-        return False
-
-    if workers == 1:
-        accumulate(map(chunk_task, range(n_chunks)))
+    if pool is None:
+        results = map(chunk_task, range(n_chunks))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Waves of speculative chunks; results are consumed in chunk-index
-            # order, so the stopping decision never depends on worker count.
-            wave = max(2 * workers, 4)
-            for lo in range(0, n_chunks, wave):
-                hi = min(lo + wave, n_chunks)
-                if accumulate(pool.map(chunk_task, range(lo, hi))):
-                    break
+        results = _in_order(pool, workers, chunk_task, n_chunks)
+
+    total_trials = total_sym = total_bit = 0
+    for trials, sym, bit in results:
+        total_trials += trials
+        total_sym += sym
+        total_bit += bit
+        if total_sym >= spec.min_errors:
+            break
+    if pool is not None:
+        results.close()  # cancels the speculative chunks not yet started
 
     return SweepPoint(
         snr_db=snr_db,
@@ -216,10 +232,35 @@ def _run_point(
     )
 
 
+def _in_order(pool: ThreadPoolExecutor, workers: int, task, count: int):
+    """Yield ``task(0) ... task(count - 1)`` in index order, computed on ``pool``.
+
+    At most ``workers`` chunks are in flight, the next one to consume among
+    them, so a point that stops early discards at most ``workers - 1``.
+    Results are consumed in index order, so the stopping decision never
+    depends on the worker count.
+    """
+    pending = deque()
+    submitted = 0
+    try:
+        while pending or submitted < count:
+            while submitted < count and len(pending) < workers:
+                pending.append(pool.submit(task, submitted))
+                submitted += 1
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepPoint]:
-    """Simulate every grid point of ``spec``; deterministic in ``spec.seed``."""
+    """Simulate every grid point of ``spec``; deterministic in ``spec.seed``.
+
+    With more than one worker a single thread pool serves the whole sweep.
+    """
     workers = _resolve_workers(workers)
-    return [
-        _run_point(spec, i, snr_db, workers)
-        for i, snr_db in enumerate(spec.snr_grid_db)
-    ]
+    points = enumerate(spec.snr_grid_db)
+    if workers == 1:
+        return [_run_point(spec, i, snr_db, None, 1) for i, snr_db in points]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [_run_point(spec, i, snr_db, pool, workers) for i, snr_db in points]

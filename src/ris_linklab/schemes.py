@@ -16,7 +16,8 @@ channel phases and cancels them) and a "blind" variant (it does not):
 
 The destination is assumed to know the composite scalar gain coherently in
 all four schemes; "blind" refers to the surface's channel knowledge, not the
-receiver's.
+receiver's.  :func:`draw_gains` states the law of each composite gain once;
+the Monte Carlo kernel samples through it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modulation import Constellation, ConstellationKind
-from .rng import ChannelRealization
+from .rng import RAYLEIGH_SCALE, ChannelRealization, standard_complex_normal
 
 __all__ = [
     "Scheme",
     "SchemeConfig",
     "EffectiveGain",
+    "draw_gains",
     "reflector_phases",
     "transmit",
     "instantaneous_snr",
@@ -86,6 +88,35 @@ class EffectiveGain:
     """
 
     value: complex
+
+
+def draw_gains(scheme: Scheme, n: int, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Composite gains of ``trials`` independent fast-fading realizations.
+
+    Each branch draws the exact law of the scheme's gain over an N-element
+    surface with i.i.d. CN(0, 1) legs, in this order:
+
+    * DH intelligent: ``A = sum(alpha_i beta_i)``; alpha then beta, each a
+      (trials, N) block of Rayleigh amplitudes by inverse CDF.
+    * AP intelligent: ``B = sum(beta_i)``; one (trials, N) Rayleigh block.
+    * DH blind: ``H = sqrt(X) * Z``; X ~ Gamma(N, 1), then Re Z and Im Z of
+      Z ~ CN(0, 1), each a block of ``trials``.  Given g,
+      ``sum(h_i g_i) ~ CN(0, |g|^2)`` and ``|g|^2 ~ Gamma(N, 1)``.
+    * AP blind: ``G = sqrt(N) * Z``; Re Z then Im Z.  ``sum(g_i) ~ CN(0, N)``.
+
+    Intelligent gains are real and positive; blind gains are complex.
+    """
+    if scheme is Scheme.DH_INTELLIGENT:
+        alpha = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
+        beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
+        return np.einsum("ij,ij->i", alpha, beta)
+    if scheme is Scheme.AP_INTELLIGENT:
+        return rng.rayleigh(RAYLEIGH_SCALE, (trials, n)).sum(axis=1)
+    if scheme is Scheme.DH_BLIND:
+        scale = np.sqrt(rng.standard_gamma(n, trials))
+    else:  # AP_BLIND
+        scale = np.sqrt(n)
+    return scale * standard_complex_normal(rng, trials)
 
 
 def reflector_phases(

@@ -200,6 +200,39 @@ class TestMainEntry:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("start, stop", [("nan", "nan"), ("0", "inf"), ("-inf", "0")])
+    def test_non_finite_grid_is_usage_error(self, tmp_path, capsys, start, stop):
+        rc = main([
+            "simulate", "--scheme", "dh_blind", "--n", "4", "--m", "2",
+            f"--snr-start-db={start}", f"--snr-stop-db={stop}",
+            "--max-trials", "20000", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_oversized_grid_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        import ris_linklab.cli as cli_mod
+
+        # a lowered limit keeps the test from building a 2**32-point grid
+        # if the check were ever lost
+        monkeypatch.setattr(cli_mod, "STREAM_INDEX_LIMIT", 6)
+        rc = main([
+            "simulate", "--scheme", "dh_blind", "--n", "4", "--snr-start-db", "0",
+            "--snr-stop-db", "10", "--snr-step-db", "2", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 1
+        assert "SNR grid has 6 points" in capsys.readouterr().err
+
+    def test_budget_of_2_pow_32_chunks_is_usage_error(self, tmp_path, capsys):
+        rc = main([
+            "simulate", "--scheme", "dh_blind", "--n", "4", "--snr-start-db", "0",
+            "--snr-stop-db", "0", "--max-trials", str(2**32 * 10_000),
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 1
+        assert "fewer than 2**32" in capsys.readouterr().err
+
     def test_numerical_failure_exits_two(self, tmp_path, monkeypatch):
         import ris_linklab.cli as cli_mod
 

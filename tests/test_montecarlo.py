@@ -107,34 +107,31 @@ class TestKernelMatchesScalarPath:
 
     @pytest.mark.parametrize("scheme", [Scheme.DH_BLIND, Scheme.AP_BLIND])
     def test_complex_channel_schemes(self, scheme):
+        """Blind schemes: the exact gain law, then symbols, then noise."""
         n, trials, snr_db, seed = 6, 400, 2.0, 21
         stream = RngStream(seed, 0)
-        sym, bit = _chunk_counts(
-            make_spec(scheme, n, [snr_db]).config, snr_db, stream, trials, False
-        )
-        # replay the kernel's documented draw order through the scalar API
+        config = make_spec(scheme, n, [snr_db]).config
+        sym, bit = _chunk_counts(config, snr_db, stream, trials, False)
+        # replay the kernel's documented draw order through the scalar detector
         rng = stream.generator()
         if scheme is Scheme.DH_BLIND:
-            h = (rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))) * RAYLEIGH_SCALE
-        g = (rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))) * RAYLEIGH_SCALE
-        const_kind = ConstellationKind.AP_PHASE if scheme.is_access_point else ConstellationKind.PSK
-        const = build_constellation(const_kind, 2)
+            scale = np.sqrt(rng.standard_gamma(n, trials))  # |g|^2 ~ Gamma(N, 1)
+        else:
+            scale = np.sqrt(n)
+        gain = scale * ((rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * RAYLEIGH_SCALE)
         tx = rng.integers(0, 2, size=trials)
         n0 = 10.0 ** (-snr_db / 10.0)
         noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * (
             RAYLEIGH_SCALE * np.sqrt(n0)
         )
-        config = SchemeConfig(scheme=scheme, n_reflectors=n, constellation=const, es=1.0, n0=n0)
+        const = config.constellation
         ref_sym = ref_bit = 0
         for i in range(trials):
-            if scheme is Scheme.DH_BLIND:
-                ch = ChannelRealization.from_coefficients(h[i], g[i])
-            else:
-                ch = ChannelRealization.from_coefficients(np.ones(n, complex), g[i])
-            received, gain = transmit(config, ch, int(tx[i]), complex(noise[i]))
-            result = detect_ml(received, gain.value, 1.0, const)
+            received = gain[i] * const.points[tx[i]] + noise[i]
+            result = detect_ml(received, gain[i], 1.0, const)
             ref_sym += result.symbol_index != tx[i]
             ref_bit += result.bit_errors_vs(int(tx[i]))
+        assert 0 < sym < trials
         assert (sym, bit) == (ref_sym, ref_bit)
 
     def test_amplitude_sampled_scheme(self):
@@ -162,6 +159,33 @@ class TestKernelMatchesScalarPath:
             result = detect_ml(received, gain.value, 1.0, const)
             ref_sym += result.symbol_index != tx[i]
             ref_bit += result.bit_errors_vs(int(tx[i]))
+        assert (sym, bit) == (ref_sym, ref_bit)
+
+    def test_ap_amplitude_sampled_scheme(self):
+        """AP intelligent: one amplitude block equals a channel with h = 1."""
+        n, trials, snr_db = 5, 300, -14.0
+        stream = RngStream(35, 0)
+        config = make_spec(Scheme.AP_INTELLIGENT, n, [snr_db], order=4).config
+        sym, bit = _chunk_counts(config, snr_db, stream, trials, False)
+        rng = stream.generator()
+        beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
+        tx = rng.integers(0, 4, size=trials)
+        n0 = 10.0 ** (-snr_db / 10.0)
+        noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * (
+            RAYLEIGH_SCALE * np.sqrt(n0)
+        )
+        const = config.constellation
+        cfg = SchemeConfig(
+            scheme=Scheme.AP_INTELLIGENT, n_reflectors=n, constellation=const, es=1.0, n0=n0
+        )
+        ref_sym = ref_bit = 0
+        for i in range(trials):
+            ch = ChannelRealization.from_coefficients(np.ones(n, complex), beta[i].astype(complex))
+            received, gain = transmit(cfg, ch, int(tx[i]), complex(noise[i]))
+            result = detect_ml(received, gain.value, 1.0, const)
+            ref_sym += result.symbol_index != tx[i]
+            ref_bit += result.bit_errors_vs(int(tx[i]))
+        assert 0 < sym < trials
         assert (sym, bit) == (ref_sym, ref_bit)
 
 
@@ -257,3 +281,77 @@ class TestSpecValidation:
             make_spec(Scheme.DH_BLIND, 2, [0.0], max_trials=100, chunk_size=1000)
         with pytest.raises(ValueError):
             make_spec(Scheme.DH_BLIND, 2, [0.0], min_errors=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_spec(Scheme.DH_BLIND, 4, [0.0, bad], max_trials=20_000, seed=1)
+
+    def test_rejects_grid_of_2_pow_32_points(self):
+        class HugeGrid:  # has a length, but is never to be iterated
+            def __len__(self):
+                return 2**32
+
+            def __iter__(self):
+                raise AssertionError("grid copied before its length was checked")
+
+        config = make_spec(Scheme.DH_BLIND, 2, [0.0]).config
+        with pytest.raises(ValueError, match=r"fewer than 2\*\*32"):
+            SweepSpec(config=config, snr_grid_db=HugeGrid())
+
+    def test_rejects_2_pow_32_chunks(self):
+        with pytest.raises(ValueError, match=r"fewer than 2\*\*32"):
+            make_spec(Scheme.DH_BLIND, 2, [0.0], max_trials=2**32 * 10, chunk_size=10)
+        with pytest.raises(ValueError, match=r"fewer than 2\*\*32"):
+            make_spec(Scheme.DH_BLIND, 2, [0.0], max_trials=(2**32 - 1) * 10 + 1, chunk_size=10)
+        make_spec(Scheme.DH_BLIND, 2, [0.0], max_trials=(2**32 - 1) * 10, chunk_size=10)
+
+
+class TestScheduler:
+    """More than one worker: one pool per sweep, bounded speculation."""
+
+    @pytest.fixture(autouse=True)
+    def uncapped(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+
+    def counting_kernel(self, monkeypatch):
+        import ris_linklab.montecarlo as mc
+
+        calls = []
+        kernel = mc._chunk_counts
+
+        def counted(config, snr_db, stream, trials, noiseless):
+            calls.append(stream.stream_id)
+            return kernel(config, snr_db, stream, trials, noiseless)
+
+        monkeypatch.setattr(mc, "_chunk_counts", counted)
+        return calls
+
+    def test_early_stop_discards_fewer_than_workers_chunks(self, monkeypatch):
+        calls = self.counting_kernel(monkeypatch)
+        # around -5 dB each point reaches min_errors in its first chunk
+        spec = make_spec(
+            Scheme.AP_BLIND, 2, [-6.0, -5.0, -4.0], max_trials=1_000_000, min_errors=100, seed=4
+        )
+        workers = 2
+        points = run_sweep(spec, workers=workers)
+        assert [p.trials for p in points] == [spec.chunk_size] * 3
+        assert len(calls) <= 3 * workers
+        assert points == run_sweep(spec, workers=1)
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        import ris_linklab.montecarlo as mc
+
+        pools = []
+        executor = mc.ThreadPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", counted_pool)
+        spec = make_spec(Scheme.DH_BLIND, 2, [0.0, 5.0, 10.0], max_trials=40_000, min_errors=50, seed=6)
+        run_sweep(spec, workers=2)
+        assert pools == [{"max_workers": 2}]
+        run_sweep(spec, workers=1)
+        assert len(pools) == 1

@@ -10,10 +10,13 @@ from ris_linklab.schemes import (
     EffectiveGain,
     Scheme,
     SchemeConfig,
+    draw_gains,
     instantaneous_snr,
     reflector_phases,
     transmit,
 )
+
+from per_element import PER_ELEMENT_GAINS
 
 BPSK = build_constellation(ConstellationKind.PSK, 2)
 AP4 = build_constellation(ConstellationKind.AP_PHASE, 4)
@@ -177,6 +180,45 @@ class TestBlindEquivalence:
         g2 = np.abs(g_only.sum(axis=1)) ** 2
         result = ks_2samp(h2, g2)
         assert result.pvalue > 0.01
+
+
+class TestDrawGainsMatchesPerElementChannel:
+    """The exact blind-gain laws equal the per-element channel in distribution.
+
+    Two-sample KS tests of ``draw_gains`` against the per-element oracle on
+    Re, Im and |.|^2, for both blind schemes at N = 1, 4, 16, 64, at a
+    shared Bonferroni level of 1e-3.
+    """
+
+    SIZES = (1, 4, 16, 64)
+    TRIALS = 50_000
+    LEVEL = 1e-3
+    STATISTICS = {"re": np.real, "im": np.imag, "power": lambda z: np.abs(z) ** 2}
+
+    def per_element(self, scheme, n, k):
+        return PER_ELEMENT_GAINS[scheme](n, RngStream(41, k).generator(), self.TRIALS)
+
+    def test_blind_laws_match_oracle(self):
+        pvalues = {}
+        for k, (scheme, n) in enumerate(
+            (s, n) for s in (Scheme.DH_BLIND, Scheme.AP_BLIND) for n in self.SIZES
+        ):
+            exact = draw_gains(scheme, n, RngStream(40, k).generator(), self.TRIALS)
+            oracle = self.per_element(scheme, n, k)
+            for name, stat in self.STATISTICS.items():
+                pvalues[scheme.value, n, name] = ks_2samp(stat(exact), stat(oracle)).pvalue
+        level = self.LEVEL / len(pvalues)
+        rejected = {key: p for key, p in pvalues.items() if p < level}
+        assert not rejected, f"KS rejects at level {level:.1e}: {rejected}"
+
+    def test_oracle_rejects_large_n_model_for_dh_blind(self):
+        """Power check: at small N the same test tells the DH cascade from
+        the CN(0, N) large-N model that the analytic engine uses."""
+        level = self.LEVEL / (2 * len(self.SIZES) * len(self.STATISTICS))
+        for k, n in enumerate((1, 4, 16)):
+            model = draw_gains(Scheme.AP_BLIND, n, RngStream(42, k).generator(), self.TRIALS)
+            oracle = self.per_element(Scheme.DH_BLIND, n, k)
+            assert ks_2samp(np.abs(model) ** 2, np.abs(oracle) ** 2).pvalue < level
 
 
 class TestApDetectionStructure:
