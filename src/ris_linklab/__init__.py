@@ -18,9 +18,9 @@ from .analytic import (
     sep_mqam,
     sep_upper_bound,
 )
-from .modulation import Constellation, ConstellationKind, DetectionResult, build_constellation, detect_ml
+from .modulation import Constellation, ConstellationKind, build_constellation, detect_ml
 from .montecarlo import SweepPoint, SweepSpec, confidence_interval, run_sweep
-from .rng import ChannelRealization, RngStream, sample_channel, sample_noise
-from .schemes import EffectiveGain, Scheme, SchemeConfig, instantaneous_snr, reflector_phases, transmit
+from .rng import RngStream
+from .schemes import Scheme, SchemeConfig
 
 __version__ = "0.1.0"

@@ -22,12 +22,12 @@ function under a Gaussian (large-N) model of the composite channel gain:
 
 Average M-PSK/M-QAM symbol error probabilities follow from the standard
 finite-range MGF integrals, evaluated by fixed-order Gauss-Legendre
-quadrature (the integrands are smooth and bounded).  An adaptive Simpson
-routine is provided purely as an independent cross-check for tests.
+quadrature (the integrands are smooth and bounded).
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,7 +55,6 @@ __all__ = [
     "average_snr",
     "required_snr_db",
     "qfunc",
-    "adaptive_simpson",
     "db_to_linear",
     "linear_to_db",
 ]
@@ -76,14 +75,9 @@ def qfunc(x):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre node count for production integrals.
-
-    ``oracle_tol`` is the absolute tolerance the adaptive-Simpson
-    cross-check uses in tests; it plays no role in production evaluation.
-    """
+    """Gauss-Legendre node count for production integrals."""
 
     node_count: int = 256
-    oracle_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.node_count < 16:
@@ -209,7 +203,7 @@ def sep_upper_bound(
     return float((order - 1) / order * mgf(model, -np.sin(PI / order) ** 2))
 
 
-class Regime:
+class Regime(enum.Enum):
     WATERFALL = "waterfall"
     SATURATION = "saturation"
 
@@ -237,10 +231,10 @@ class SaturationLaw:
     constant_exponent: float
 
 
-def asymptote(model: AnalyticModel, order: int, regime: str) -> WaterfallLaw | SaturationLaw:
+def asymptote(model: AnalyticModel, order: int, regime: Regime) -> WaterfallLaw | SaturationLaw:
     """Asymptotic error-probability law for one scheme/order/regime."""
     n = model.n_reflectors
-    if regime == Regime.WATERFALL:
+    if regime is Regime.WATERFALL:
         if model.scheme is Scheme.DH_INTELLIGENT:
             if order == 2:
                 return WaterfallLaw(decay_rate=n * n * PI * PI / 16.0)
@@ -251,7 +245,7 @@ def asymptote(model: AnalyticModel, order: int, regime: str) -> WaterfallLaw | S
                 raise ValueError(f"order must be >= 2, got {order}")
             return WaterfallLaw(decay_rate=np.sin(PI / order) ** 2 * n * n * PI / 4.0)
         raise ValueError(f"no waterfall law for {model.scheme.name}")
-    if regime == Regime.SATURATION:
+    if regime is Regime.SATURATION:
         if model.scheme is Scheme.DH_INTELLIGENT and order == 2:
             return SaturationLaw(
                 snr_power=-0.5,
@@ -311,31 +305,3 @@ def required_snr_db(
             f"target {target} not bracketed by curve on [{lo_db}, {hi_db}] dB"
         )
     return float(brentq(gap, lo_db, hi_db, xtol=1e-9))
-
-
-def adaptive_simpson(func, a: float, b: float, tol: float = 1e-12, max_depth: int = 60) -> float:
-    """Adaptive Simpson integration to absolute tolerance ``tol``.
-
-    Test oracle only; production integrals use Gauss-Legendre.
-    """
-
-    def simpson(fa, fm, fb, a_, b_):
-        return (b_ - a_) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a_, b_, fa, fm, fb, whole, tol_, depth):
-        m = 0.5 * (a_ + b_)
-        lm, rm = 0.5 * (a_ + m), 0.5 * (m + b_)
-        flm, frm = func(lm), func(rm)
-        left = simpson(fa, flm, fm, a_, m)
-        right = simpson(fm, frm, fb, m, b_)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol_:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a_, m, fa, flm, fm, left, tol_ / 2.0, depth + 1) + recurse(
-            m, b_, fm, frm, fb, right, tol_ / 2.0, depth + 1
-        )
-
-    fa, fb = func(a), func(b)
-    mid = 0.5 * (a + b)
-    fm = func(mid)
-    whole = simpson(fa, fm, fb, a, b)
-    return float(recurse(a, b, fa, fm, fb, whole, tol, 0))

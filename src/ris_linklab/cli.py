@@ -38,6 +38,11 @@ FIGURE_PRESETS = ("fig2", "fig3", "fig5", "fig6", "fig7")
 INTELLIGENT_RANGE_DB = (-60.0, 0.0)
 BLIND_RANGE_DB = (-20.0, 30.0)
 
+M_HELP = (
+    "modulation order; dual-hop links use BPSK at M = 2 and square QAM above "
+    "(4, 16, 64, ...), access-point links an M-ary phase book"
+)
+
 __all__ = ["main", "run_figure_preset", "compare", "write_rows", "read_rows", "CsvRow"]
 
 
@@ -148,8 +153,11 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(start + k * step for k in range(count))
 
 
-def _dh_kind(order: int) -> ConstellationKind:
-    # Dual-hop links carry BPSK at M=2 and square QAM above (4-QAM == QPSK).
+def _constellation_kind(scheme: Scheme, order: int) -> ConstellationKind:
+    """AP links use the phase book; dual-hop links carry BPSK at M = 2 and
+    square QAM above (4-QAM == QPSK)."""
+    if scheme.is_access_point:
+        return ConstellationKind.AP_PHASE
     return ConstellationKind.PSK if order == 2 else ConstellationKind.QAM
 
 
@@ -169,7 +177,7 @@ def analytic_rows(
 ) -> list[CsvRow]:
     """Exact (and optionally bounded) SEP rows over an SNR grid."""
     quad = QuadratureSpec(node_count=nodes)
-    kind = ConstellationKind.AP_PHASE if scheme.is_access_point else _dh_kind(order)
+    kind = _constellation_kind(scheme, order)
     rows = []
     for db in grid_db:
         model = AnalyticModel(scheme=scheme, n_reflectors=n, snr=float(db_to_linear(db)))
@@ -194,7 +202,7 @@ def simulation_rows(
     min_errors: int,
 ) -> list[CsvRow]:
     """BER and SER rows from a Monte Carlo sweep."""
-    kind = ConstellationKind.AP_PHASE if scheme.is_access_point else _dh_kind(order)
+    kind = _constellation_kind(scheme, order)
     config = SchemeConfig(
         scheme=scheme,
         n_reflectors=n,
@@ -292,7 +300,7 @@ def compare(
     quad = QuadratureSpec(node_count=nodes)
 
     def curve(scheme: Scheme, n: int):
-        kind = ConstellationKind.AP_PHASE if scheme.is_access_point else _dh_kind(order)
+        kind = _constellation_kind(scheme, order)
         return lambda snr: _exact_sep(
             AnalyticModel(scheme=scheme, n_reflectors=n, snr=snr), order, kind, quad
         )
@@ -328,7 +336,7 @@ def _scheme(name: str) -> Scheme:
 
 def _add_common(p: argparse.ArgumentParser, default_range) -> None:
     p.add_argument("--n", type=int, nargs="+", default=[64], help="reflector counts")
-    p.add_argument("--m", type=int, default=2, help="modulation order")
+    p.add_argument("--m", type=int, default=2, help=M_HELP)
     p.add_argument("--snr-start-db", type=float, default=default_range[0])
     p.add_argument("--snr-stop-db", type=float, default=default_range[1])
     p.add_argument("--snr-step-db", type=float, default=1.0)
@@ -368,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--scheme-b", type=_scheme, required=True)
     p_cmp.add_argument("--n-a", type=int, required=True)
     p_cmp.add_argument("--n-b", type=int)
-    p_cmp.add_argument("--m", type=int, default=2)
+    p_cmp.add_argument("--m", type=int, default=2, help=M_HELP)
     p_cmp.add_argument("--target", type=float, required=True)
     p_cmp.add_argument("--nodes", type=int, default=256)
 

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "ConstellationKind",
-    "Constellation",
-    "DetectionResult",
-    "build_constellation",
-    "detect_ml",
-]
+__all__ = ["ConstellationKind", "Constellation", "build_constellation", "detect_ml"]
 
 
 class ConstellationKind(enum.Enum):
@@ -63,12 +57,9 @@ class Constellation:
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
 
-    def bit_distance(self, i: int, j: int) -> int:
-        """Hamming distance between the bit labels of symbols i and j."""
-        return int(self._bit_distance[i, j])
-
     @property
     def bit_distance_table(self) -> np.ndarray:
+        """Hamming distances between the bit labels of every pair of symbols."""
         return self._bit_distance
 
 
@@ -113,35 +104,18 @@ def build_constellation(kind: ConstellationKind, order: int) -> Constellation:
     raise ValueError(f"unknown constellation kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    """Outcome of one maximum-likelihood decision."""
+def detect_ml(received, gain, constellation: Constellation) -> np.ndarray:
+    """Coherent maximum-likelihood detection against known composite gains.
 
-    symbol_index: int
-    constellation: Constellation
-
-    def bit_errors_vs(self, reference_index: int) -> int:
-        """Number of bit errors relative to the transmitted symbol index."""
-        return self.constellation.bit_distance(self.symbol_index, reference_index)
-
-
-def detect_ml(
-    received: complex,
-    gain: complex,
-    energy: float,
-    constellation: Constellation,
-) -> DetectionResult:
-    """Coherent maximum-likelihood detection against a known channel gain.
-
-    Returns the index minimizing ``|received - sqrt(energy)*gain*point|**2``.
-    Ties break toward the lowest symbol index.
+    For each sample returns the index minimizing
+    ``|received - gain * point|**2`` over the constellation points; ties
+    break toward the lowest symbol index.  ``received`` and ``gain`` are
+    scalars or arrays that broadcast together; for a symbol energy Es
+    other than 1, pass ``sqrt(Es) * gain``.
     """
-    if not (np.isfinite(energy) and energy > 0):
-        raise ValueError(f"energy must be finite and > 0, got {energy}")
-    if not (np.isfinite(np.real(received)) and np.isfinite(np.imag(received))):
-        raise ValueError("received sample must be finite")
-    if not (np.isfinite(np.real(gain)) and np.isfinite(np.imag(gain))):
-        raise ValueError("gain must be finite")
-    hypotheses = np.sqrt(energy) * gain * constellation.points
-    index = int(np.argmin(np.abs(received - hypotheses) ** 2))
-    return DetectionResult(symbol_index=index, constellation=constellation)
+    received = np.asarray(received)
+    gain = np.asarray(gain)
+    if not (np.all(np.isfinite(received)) and np.all(np.isfinite(gain))):
+        raise ValueError("received samples and gains must be finite")
+    hypotheses = gain[..., None] * constellation.points
+    return np.argmin(np.abs(received[..., None] - hypotheses) ** 2, axis=-1)

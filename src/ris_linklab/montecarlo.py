@@ -2,7 +2,8 @@
 
 Trials are fast-fading: every trial draws a fresh composite channel gain, a
 uniform symbol (or message), and a noise sample, then runs coherent
-maximum-likelihood detection against that gain.
+maximum-likelihood detection against that gain through the batched
+:func:`~ris_linklab.modulation.detect_ml`.
 
 Each chunk draws from its own stream in a fixed order: the gain block(s)
 of :func:`~ris_linklab.schemes.draw_gains`, then the symbol indices, then
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modulation import detect_ml
 from .rng import RAYLEIGH_SCALE, RngStream
 from .schemes import SchemeConfig, draw_gains
 
@@ -58,8 +60,7 @@ class SweepSpec:
 
     ``snr_grid_db`` holds Es/N0 values in dB, strictly increasing.  Each
     point runs until ``min_errors`` symbol errors are seen or ``max_trials``
-    trials are exhausted, in chunks of ``chunk_size`` trials.  ``noiseless``
-    is a test hook that runs the zero-noise limit of the receiver path.
+    trials are exhausted, in chunks of ``chunk_size`` trials.
 
     Grid values must be finite, and the grid and the chunk count per point
     must each stay below 2**32 so that every chunk has its own stream.
@@ -71,7 +72,6 @@ class SweepSpec:
     min_errors: int = 200
     seed: int = 0
     chunk_size: int = 10_000
-    noiseless: bool = False
 
     def __post_init__(self) -> None:
         # Checked before the grid is copied, so a huge grid is never built.
@@ -128,23 +128,25 @@ class SweepPoint:
 def confidence_interval(
     point: SweepPoint, level: float = 0.95, metric: str = "ser"
 ) -> tuple[float, float]:
-    """Normal-approximation binomial confidence interval, clamped to [0, 1]."""
-    from scipy.stats import norm
+    """Exact (Clopper-Pearson) binomial confidence interval for the error rate.
+
+    A point with zero errors gets a nonzero upper limit, about 3.7 / trials
+    at the 95 % level, instead of the (0, 0) a normal approximation claims.
+    """
+    from scipy.stats import binomtest
 
     if point.trials <= 0:
         raise ValueError("confidence interval requires trials > 0")
-    p = point.ser if metric == "ser" else point.ber
-    z = norm.ppf(0.5 + level / 2.0)
-    half = z * point.stderr(metric)
-    return (max(0.0, p - half), min(1.0, p + half))
+    if metric == "ser":
+        errors, n = point.symbol_errors, point.trials
+    else:
+        errors, n = point.bit_errors, point.trials * point.bits_per_symbol
+    ci = binomtest(errors, n).proportion_ci(confidence_level=level, method="exact")
+    return (float(ci.low), float(ci.high))
 
 
 def _chunk_counts(
-    config: SchemeConfig,
-    snr_db: float,
-    stream: RngStream,
-    trials: int,
-    noiseless: bool,
+    config: SchemeConfig, snr_db: float, stream: RngStream, trials: int
 ) -> tuple[int, int]:
     """Run one chunk of trials; return (symbol_errors, bit_errors).
 
@@ -158,23 +160,16 @@ def _chunk_counts(
     """
     rng = stream.generator()
     const = config.constellation
-    m = const.order
     # Es/N0 is swept by scaling noise at fixed unit symbol energy.
-    es = 1.0
     n0 = 10.0 ** (-snr_db / 10.0)
 
     gain = draw_gains(config.scheme, config.n_reflectors, rng, trials)
-    tx = rng.integers(0, m, size=trials)
-    received = np.sqrt(es) * gain * const.points[tx]
-    if not noiseless:
-        noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * (
-            RAYLEIGH_SCALE * np.sqrt(n0)
-        )
-        received = received + noise
-
-    # Coherent ML detection against the known composite gain.
-    hypotheses = np.sqrt(es) * gain[:, None] * const.points[None, :]
-    rx = np.argmin(np.abs(received[:, None] - hypotheses) ** 2, axis=1)
+    tx = rng.integers(0, const.order, size=trials)
+    noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * (
+        RAYLEIGH_SCALE * np.sqrt(n0)
+    )
+    received = gain * const.points[tx] + noise
+    rx = detect_ml(received, gain, const)
 
     symbol_errors = int(np.count_nonzero(rx != tx))
     bit_errors = int(const.bit_distance_table[tx, rx].sum())
@@ -205,7 +200,7 @@ def _run_point(
         start = chunk_index * spec.chunk_size
         trials = min(spec.chunk_size, spec.max_trials - start)
         stream = RngStream(spec.seed, (point_index << 32) | chunk_index)
-        sym, bit = _chunk_counts(spec.config, snr_db, stream, trials, spec.noiseless)
+        sym, bit = _chunk_counts(spec.config, snr_db, stream, trials)
         return trials, sym, bit
 
     if pool is None:

@@ -1,4 +1,4 @@
-"""Deterministic sampling of fading channels and receiver noise.
+"""Deterministic random streams for the fading channels and receiver noise.
 
 Every random draw in this package flows through a counter-based Philox
 stream keyed by ``(seed, stream_id)``, so any chunk of work can be handed
@@ -14,13 +14,7 @@ import numpy as np
 # Rayleigh scale for |h| when h ~ CN(0, 1): each quadrature has variance 1/2.
 RAYLEIGH_SCALE = 1.0 / np.sqrt(2.0)
 
-__all__ = [
-    "RAYLEIGH_SCALE",
-    "RngStream",
-    "ChannelRealization",
-    "sample_channel",
-    "sample_noise",
-]
+__all__ = ["RAYLEIGH_SCALE", "RngStream"]
 
 
 @dataclass(frozen=True)
@@ -48,83 +42,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _as_generator(stream: RngStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(stream, np.random.Generator):
-        return stream
-    return stream.generator()
-
-
 def standard_complex_normal(rng: np.random.Generator, size) -> np.ndarray:
     """Circularly-symmetric unit-variance complex Gaussian draws, CN(0, 1)."""
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * RAYLEIGH_SCALE
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the per-reflector fading coefficients.
-
-    ``h`` is the source-to-surface leg and ``g`` the surface-to-destination
-    leg.  Amplitude/phase fields follow the sign convention
-    ``h[i] = alpha[i] * exp(-1j * theta[i])`` (and likewise for g), so the
-    phase-cancelling reflector setting is literally ``theta + psi``.
-    """
-
-    h: np.ndarray
-    g: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    theta: np.ndarray
-    psi: np.ndarray
-
-    @property
-    def n_reflectors(self) -> int:
-        return self.h.shape[0]
-
-    @classmethod
-    def from_coefficients(cls, h: np.ndarray, g: np.ndarray) -> "ChannelRealization":
-        """Build a realization from raw complex coefficient vectors."""
-        h = np.asarray(h, dtype=complex)
-        g = np.asarray(g, dtype=complex)
-        if h.ndim != 1 or g.ndim != 1 or h.shape != g.shape or h.size < 1:
-            raise ValueError("h and g must be equal-length 1-D vectors with N >= 1")
-        return cls(
-            h=h,
-            g=g,
-            alpha=np.abs(h),
-            beta=np.abs(g),
-            theta=np.mod(-np.angle(h), 2.0 * np.pi),
-            psi=np.mod(-np.angle(g), 2.0 * np.pi),
-        )
-
-
-def sample_channel(
-    n_reflectors: int, stream: RngStream | np.random.Generator
-) -> ChannelRealization:
-    """Draw one Rayleigh-fading channel realization.
-
-    Each coefficient of ``h`` and ``g`` is an independent CN(0, 1) draw, so
-    the amplitudes are Rayleigh with E[alpha] = sqrt(pi)/2 and
-    E[alpha**2] = 1.
-    """
-    if n_reflectors < 1:
-        raise ValueError(f"n_reflectors must be >= 1, got {n_reflectors}")
-    rng = _as_generator(stream)
-    h = standard_complex_normal(rng, n_reflectors)
-    g = standard_complex_normal(rng, n_reflectors)
-    return ChannelRealization.from_coefficients(h, g)
-
-
-def sample_noise(
-    n0: float, stream: RngStream | np.random.Generator, size: int | None = None
-):
-    """Draw additive receiver noise, CN(0, n0).
-
-    Returns a scalar when ``size`` is None, else a vector of ``size`` draws.
-    """
-    if not np.isfinite(n0) or n0 <= 0:
-        raise ValueError(f"noise spectral density must be finite and > 0, got {n0}")
-    rng = _as_generator(stream)
-    scale = np.sqrt(n0)
-    if size is None:
-        return complex(standard_complex_normal(rng, None)) * scale
-    return standard_complex_normal(rng, size) * scale

@@ -1,9 +1,12 @@
-"""Per-element channel oracle for the blind composite gains.
+"""Per-element channel oracle for the four schemes.
 
-The simulator draws each blind gain from its exact low-dimensional law
-(``ris_linklab.schemes.draw_gains``).  These functions build the same gains
-the long way, from N explicit i.i.d. CN(0, 1) coefficients per leg, so that
-tests can check the two agree in distribution.
+The simulator draws each composite gain from its law
+(``ris_linklab.schemes.draw_gains``).  These functions state the same link
+the long way: explicit coefficients h_i = alpha_i exp(-j theta_i) (source to
+surface) and g_i = beta_i exp(-j psi_i) (surface to destination), the phase
+each element applies, and the sum that reaches the destination.  Tests check
+the sampler and the chunk kernel against them.  Every function works on
+(..., N) blocks, one row per trial.
 """
 
 import numpy as np
@@ -12,16 +15,53 @@ from ris_linklab.rng import standard_complex_normal
 from ris_linklab.schemes import Scheme
 
 
-def cascade_gains(n: int, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """DH blind: zero reflector phases leave H = sum(h_i g_i)."""
-    h = standard_complex_normal(rng, (trials, n))
-    g = standard_complex_normal(rng, (trials, n))
-    return np.einsum("ij,ij->i", h, g)
+def channel(n: int, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """(h, g): (trials, N) blocks of i.i.d. CN(0, 1) coefficients, h drawn first."""
+    return standard_complex_normal(rng, (trials, n)), standard_complex_normal(rng, (trials, n))
 
 
-def direct_gains(n: int, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """AP blind: a common data phase on every element leaves G = sum(g_i)."""
-    return standard_complex_normal(rng, (trials, n)).sum(axis=1)
+def channel_phases(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, psi) in [0, 2 pi), so that h = |h| exp(-j theta), g = |g| exp(-j psi)."""
+    return np.mod(-np.angle(h), 2.0 * np.pi), np.mod(-np.angle(g), 2.0 * np.pi)
 
 
-PER_ELEMENT_GAINS = {Scheme.DH_BLIND: cascade_gains, Scheme.AP_BLIND: direct_gains}
+def reflector_phases(scheme: Scheme, h: np.ndarray, g: np.ndarray, w=None) -> np.ndarray:
+    """Element phases: theta + psi (DH intelligent), 0 (DH blind),
+    psi + w_m (AP intelligent) and w_m (AP blind).
+
+    ``w`` holds each trial's message phase w_m (AP schemes only).
+    """
+    theta, psi = channel_phases(h, g)
+    if scheme is Scheme.DH_INTELLIGENT:
+        return theta + psi
+    if scheme is Scheme.DH_BLIND:
+        return np.zeros(g.shape)
+    w = np.asarray(w)[..., None]
+    if scheme is Scheme.AP_INTELLIGENT:
+        return psi + w
+    return w + np.zeros(g.shape)  # the same phase on every element
+
+
+def gain(scheme: Scheme, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The composite gain the coherent receiver knows: A, H, B or G."""
+    if scheme is Scheme.DH_INTELLIGENT:
+        return (np.abs(h) * np.abs(g)).sum(axis=-1)
+    if scheme is Scheme.DH_BLIND:
+        return (h * g).sum(axis=-1)
+    if scheme is Scheme.AP_INTELLIGENT:
+        return np.abs(g).sum(axis=-1)
+    return g.sum(axis=-1)
+
+
+def received(scheme: Scheme, h, g, constellation, tx, noise) -> np.ndarray:
+    """The sample at the destination for symbol (DH) or message (AP) indices ``tx``.
+
+    DH: sum(h_i exp(j phi_i) g_i) times the transmitted point.  AP: the
+    surface is fed an unmodulated carrier and its phases carry the message,
+    so the sample is sum(g_i exp(j phi_i)).
+    """
+    if scheme.is_access_point:
+        phases = reflector_phases(scheme, h, g, constellation.phases[tx])
+        return (g * np.exp(1j * phases)).sum(axis=-1) + noise
+    cascade = (h * np.exp(1j * reflector_phases(scheme, h, g)) * g).sum(axis=-1)
+    return cascade * constellation.points[tx] + noise

@@ -15,7 +15,6 @@ from ris_linklab.analytic import (
     Regime,
     SaturationLaw,
     WaterfallLaw,
-    adaptive_simpson,
     asymptote,
     average_snr,
     cpep,
@@ -31,6 +30,8 @@ from ris_linklab.analytic import (
 from ris_linklab.modulation import ConstellationKind
 from ris_linklab.rng import RngStream
 from ris_linklab.schemes import Scheme
+
+from simpson import adaptive_simpson
 
 PI = np.pi
 
@@ -219,6 +220,8 @@ class TestAsymptote:
             asymptote(model(Scheme.DH_BLIND, 16, 1.0), 2, Regime.WATERFALL)
         with pytest.raises(ValueError):
             asymptote(model(Scheme.AP_INTELLIGENT, 16, 1.0), 2, Regime.SATURATION)
+        with pytest.raises(ValueError, match="unknown regime"):  # only members select a law
+            asymptote(model(Scheme.DH_INTELLIGENT, 16, 1.0), 2, Regime.WATERFALL.value)
 
 
 class TestRegimeFit:

@@ -1,6 +1,9 @@
-"""Tests for the command-line front end, CSV schema, and figure presets."""
+"""Tests for the command-line front end, CSV schema, figure presets and the
+README's library sketch."""
 
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +214,16 @@ class TestMainEntry:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_dual_hop_order_8_is_usage_error(self, tmp_path, capsys):
+        """Dual-hop links use BPSK at M = 2 and square QAM above, so M = 8 is refused."""
+        rc = main([
+            "simulate", "--scheme", "dh_blind", "--m", "8", "--n", "4", "--snr-start-db", "0",
+            "--snr-stop-db", "0", "--max-trials", "20000", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 1
+        assert "QAM requires a square" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_oversized_grid_is_usage_error(self, tmp_path, capsys, monkeypatch):
         import ris_linklab.cli as cli_mod
 
@@ -242,3 +255,10 @@ class TestMainEntry:
         monkeypatch.setattr(cli_mod, "run_figure_preset", broken_preset)
         rc = main(["figure", "fig2", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+def test_readme_library_sketch_runs():
+    """The README's python block runs against the current API."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (sketch,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(sketch, "README.md", "exec"), {})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import k0
+from scipy.stats import beta
 
 from ris_linklab.analytic import AnalyticModel, db_to_linear, qfunc, sep_mpsk
 from ris_linklab.modulation import ConstellationKind, build_constellation, detect_ml
@@ -15,8 +16,10 @@ from ris_linklab.montecarlo import (
     run_sweep,
 )
 from ris_linklab.montecarlo import _chunk_counts
-from ris_linklab.rng import RAYLEIGH_SCALE, ChannelRealization, RngStream
-from ris_linklab.schemes import Scheme, SchemeConfig, transmit
+from ris_linklab.rng import RAYLEIGH_SCALE, RngStream, standard_complex_normal
+from ris_linklab.schemes import Scheme, SchemeConfig
+
+import per_element
 
 
 def make_spec(scheme, n, grid, order=2, **kwargs):
@@ -92,101 +95,103 @@ class TestStoppingRule:
 
 class TestZeroNoiseHook:
     def test_noiseless_path_is_error_free(self):
+        """In the zero-noise limit (N0 = 1e-30) the receiver path makes no error."""
         for scheme in (Scheme.DH_INTELLIGENT, Scheme.DH_BLIND, Scheme.AP_INTELLIGENT, Scheme.AP_BLIND):
             spec = make_spec(
-                scheme, 4, [0.0], order=4 if scheme.is_access_point else 2,
-                max_trials=10_000, min_errors=1, seed=1, noiseless=True,
+                scheme, 4, [300.0], order=4 if scheme.is_access_point else 2,
+                max_trials=10_000, min_errors=1, seed=1,
             )
             (point,) = run_sweep(spec)
             assert point.trials == 10_000
             assert point.symbol_errors == 0 and point.bit_errors == 0
 
 
+def random_phases(seed: int, shape) -> np.ndarray:
+    """exp(-j * phase), phases uniform on [0, 2 pi), from a stream apart from the kernel's."""
+    return np.exp(-2j * np.pi * RngStream(seed, 1).generator().random(shape))
+
+
 class TestKernelMatchesScalarPath:
-    """The vectorized chunk kernel must agree with the per-trial scheme API."""
+    """The vectorized chunk kernel agrees with the per-element oracle.
+
+    Each test replays one chunk's documented draw order: it turns the
+    kernel's gain draws into a per-element channel (h, g) that carries that
+    gain, draws the symbols and the noise, forms the received samples from
+    the oracle's reflector phases and cascaded sum, and detects them with
+    the batched ``detect_ml`` against the oracle's composite gain.
+    """
+
+    TRIALS = 400
+
+    def replay(self, scheme, n, order, snr_db, seed, draw_channel):
+        stream = RngStream(seed, 0)
+        config = make_spec(scheme, n, [snr_db], order=order).config
+        sym, bit = _chunk_counts(config, snr_db, stream, self.TRIALS)
+        rng = stream.generator()
+        h, g = draw_channel(rng, self.TRIALS)
+        tx = rng.integers(0, order, size=self.TRIALS)
+        n0 = 10.0 ** (-snr_db / 10.0)
+        noise = (rng.standard_normal(self.TRIALS) + 1j * rng.standard_normal(self.TRIALS)) * (
+            RAYLEIGH_SCALE * np.sqrt(n0)
+        )
+        const = config.constellation
+        received = per_element.received(scheme, h, g, const, tx, noise)
+        rx = detect_ml(received, per_element.gain(scheme, h, g), const)
+        assert 0 < sym < self.TRIALS
+        assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
 
     @pytest.mark.parametrize("scheme", [Scheme.DH_BLIND, Scheme.AP_BLIND])
     def test_complex_channel_schemes(self, scheme):
         """Blind schemes: the exact gain law, then symbols, then noise."""
-        n, trials, snr_db, seed = 6, 400, 2.0, 21
-        stream = RngStream(seed, 0)
-        config = make_spec(scheme, n, [snr_db]).config
-        sym, bit = _chunk_counts(config, snr_db, stream, trials, False)
-        # replay the kernel's documented draw order through the scalar detector
-        rng = stream.generator()
-        if scheme is Scheme.DH_BLIND:
-            scale = np.sqrt(rng.standard_gamma(n, trials))  # |g|^2 ~ Gamma(N, 1)
-        else:
-            scale = np.sqrt(n)
-        gain = scale * ((rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * RAYLEIGH_SCALE)
-        tx = rng.integers(0, 2, size=trials)
-        n0 = 10.0 ** (-snr_db / 10.0)
-        noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * (
-            RAYLEIGH_SCALE * np.sqrt(n0)
-        )
-        const = config.constellation
-        ref_sym = ref_bit = 0
-        for i in range(trials):
-            received = gain[i] * const.points[tx[i]] + noise[i]
-            result = detect_ml(received, gain[i], 1.0, const)
-            ref_sym += result.symbol_index != tx[i]
-            ref_bit += result.bit_errors_vs(int(tx[i]))
-        assert 0 < sym < trials
-        assert (sym, bit) == (ref_sym, ref_bit)
+        n, seed = 6, 21
+
+        def draw_channel(rng, trials):
+            if scheme is Scheme.AP_BLIND:  # g_i = Z / sqrt(N), so sum(g_i) = sqrt(N) * Z
+                z = standard_complex_normal(rng, (trials, 1))
+                return np.ones((trials, n)), np.repeat(z / np.sqrt(n), n, axis=1)
+            # |g|^2 = X, and h carries Z along conj(g) / |g|: sum(h_i g_i) = sqrt(X) * Z
+            root_x = np.sqrt(rng.standard_gamma(n, (trials, 1)))
+            z = standard_complex_normal(rng, (trials, 1))
+            g = root_x / np.sqrt(n) * random_phases(seed, (trials, n))
+            return z * np.conj(g) / root_x, g
+
+        self.replay(scheme, n, 2, 2.0, seed, draw_channel)
 
     def test_amplitude_sampled_scheme(self):
-        """DH intelligent: amplitude draws equal a zero-phase channel realization."""
-        n, trials, snr_db = 5, 300, -12.0
-        stream = RngStream(33, 0)
-        config = make_spec(Scheme.DH_INTELLIGENT, n, [snr_db]).config
-        sym, bit = _chunk_counts(config, snr_db, stream, trials, False)
-        rng = stream.generator()
-        alpha = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-        beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-        tx = rng.integers(0, 2, size=trials)
-        n0 = 10.0 ** (-snr_db / 10.0)
-        noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * (
-            RAYLEIGH_SCALE * np.sqrt(n0)
-        )
-        const = config.constellation
-        cfg = SchemeConfig(
-            scheme=Scheme.DH_INTELLIGENT, n_reflectors=n, constellation=const, es=1.0, n0=n0
-        )
-        ref_sym = ref_bit = 0
-        for i in range(trials):
-            ch = ChannelRealization.from_coefficients(alpha[i].astype(complex), beta[i].astype(complex))
-            received, gain = transmit(cfg, ch, int(tx[i]), complex(noise[i]))
-            result = detect_ml(received, gain.value, 1.0, const)
-            ref_sym += result.symbol_index != tx[i]
-            ref_bit += result.bit_errors_vs(int(tx[i]))
-        assert (sym, bit) == (ref_sym, ref_bit)
+        """DH intelligent: the amplitude draws, with random channel phases."""
+        n, seed = 5, 33
+
+        def draw_channel(rng, trials):
+            alpha = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
+            beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
+            phases = random_phases(seed, (2, trials, n))
+            return alpha * phases[0], beta * phases[1]
+
+        self.replay(Scheme.DH_INTELLIGENT, n, 2, -12.0, seed, draw_channel)
 
     def test_ap_amplitude_sampled_scheme(self):
-        """AP intelligent: one amplitude block equals a channel with h = 1."""
-        n, trials, snr_db = 5, 300, -14.0
-        stream = RngStream(35, 0)
-        config = make_spec(Scheme.AP_INTELLIGENT, n, [snr_db], order=4).config
-        sym, bit = _chunk_counts(config, snr_db, stream, trials, False)
-        rng = stream.generator()
-        beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-        tx = rng.integers(0, 4, size=trials)
-        n0 = 10.0 ** (-snr_db / 10.0)
-        noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * (
-            RAYLEIGH_SCALE * np.sqrt(n0)
-        )
-        const = config.constellation
-        cfg = SchemeConfig(
-            scheme=Scheme.AP_INTELLIGENT, n_reflectors=n, constellation=const, es=1.0, n0=n0
-        )
-        ref_sym = ref_bit = 0
-        for i in range(trials):
-            ch = ChannelRealization.from_coefficients(np.ones(n, complex), beta[i].astype(complex))
-            received, gain = transmit(cfg, ch, int(tx[i]), complex(noise[i]))
-            result = detect_ml(received, gain.value, 1.0, const)
-            ref_sym += result.symbol_index != tx[i]
-            ref_bit += result.bit_errors_vs(int(tx[i]))
-        assert 0 < sym < trials
-        assert (sym, bit) == (ref_sym, ref_bit)
+        """AP intelligent: one amplitude block, with random channel phases."""
+        n, seed = 5, 35
+
+        def draw_channel(rng, trials):
+            beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
+            return np.ones((trials, n)), beta * random_phases(seed, (trials, n))
+
+        self.replay(Scheme.AP_INTELLIGENT, n, 4, -14.0, seed, draw_channel)
+
+    def test_blocked_surface_ties_to_lowest_index(self, monkeypatch):
+        """A zero gain makes every hypothesis tie: the kernel decides index 0."""
+        import ris_linklab.montecarlo as mc
+
+        blocked = lambda scheme, n, rng, trials: per_element.gain(scheme, *np.zeros((2, trials, n), complex))
+        monkeypatch.setattr(mc, "draw_gains", blocked)
+        for scheme, order in ((Scheme.DH_INTELLIGENT, 16), (Scheme.AP_BLIND, 8)):
+            stream = RngStream(37, 0)
+            config = make_spec(scheme, 3, [0.0], order=order).config
+            sym, bit = _chunk_counts(config, 0.0, stream, self.TRIALS)
+            tx = stream.generator().integers(0, order, size=self.TRIALS)
+            table = config.constellation.bit_distance_table
+            assert (sym, bit) == (np.count_nonzero(tx), table[tx, 0].sum())
 
 
 class TestStatisticalFidelity:
@@ -250,14 +255,19 @@ class TestStatisticalFidelity:
 
 class TestConfidenceInterval:
     def test_zero_errors_clamps_low(self):
-        point = SweepPoint(0.0, 1_000_000, 0, 0)
-        lo, hi = confidence_interval(point)
-        assert lo == 0.0 and hi == 0.0
+        """Zero errors is not certainty: the upper limit is about 3.7 / n."""
+        n = 1_000_000
+        lo, hi = confidence_interval(SweepPoint(0.0, n, 0, 0))
+        assert lo == 0.0
+        assert 3.0 / n < hi < 4.0 / n
 
     def test_half_width_at_half(self):
+        """The exact interval's limits are the Clopper-Pearson beta quantiles."""
         point = SweepPoint(0.0, 10_000, 5_000, 5_000)
         lo, hi = confidence_interval(point, 0.95)
-        assert (hi - lo) / 2 == pytest.approx(1.959964 * 0.005, rel=1e-4)
+        assert lo == pytest.approx(beta.ppf(0.025, 5_000, 5_001), rel=1e-9)
+        assert hi == pytest.approx(beta.ppf(0.975, 5_001, 5_000), rel=1e-9)
+        assert (hi - lo) / 2 >= 1.959964 * 0.005  # no narrower than the normal approximation
 
     def test_all_errors_clamps_high(self):
         point = SweepPoint(0.0, 100, 100, 100)
@@ -320,9 +330,9 @@ class TestScheduler:
         calls = []
         kernel = mc._chunk_counts
 
-        def counted(config, snr_db, stream, trials, noiseless):
+        def counted(config, snr_db, stream, trials):
             calls.append(stream.stream_id)
-            return kernel(config, snr_db, stream, trials, noiseless)
+            return kernel(config, snr_db, stream, trials)
 
         monkeypatch.setattr(mc, "_chunk_counts", counted)
         return calls

@@ -1,20 +1,34 @@
 """Tests for channel/noise sampling and stream determinism."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_linklab.rng import ChannelRealization, RngStream, sample_channel, sample_noise
+from ris_linklab.modulation import ConstellationKind, build_constellation
+from ris_linklab.montecarlo import SweepSpec
+from ris_linklab.rng import RngStream, standard_complex_normal
+from ris_linklab.schemes import Scheme, SchemeConfig
+
+import per_element
 
 N_SAMPLES = 1_000_000
 
 
+def realization(n: int, rng: np.random.Generator) -> SimpleNamespace:
+    """One per-element channel with its amplitudes and phases."""
+    (h,), (g,) = per_element.channel(n, rng, 1)
+    theta, psi = per_element.channel_phases(h, g)
+    return SimpleNamespace(h=h, g=g, alpha=np.abs(h), beta=np.abs(g), theta=theta, psi=psi)
+
+
 @pytest.fixture(scope="module")
-def big_channel() -> ChannelRealization:
+def big_channel() -> SimpleNamespace:
     # A single wide realization: coefficients are iid across reflectors, so
     # one draw of 10^6 elements doubles as 10^6 scalar draws.
-    return sample_channel(N_SAMPLES, RngStream(seed=123, stream_id=0))
+    return realization(N_SAMPLES, RngStream(seed=123, stream_id=0).generator())
 
 
 class TestChannelMoments:
@@ -68,65 +82,69 @@ class TestPhaseConvention:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_reconstruction_any_seed(self, seed):
-        ch = sample_channel(8, RngStream(seed))
+        ch = realization(8, RngStream(seed).generator())
         assert np.max(np.abs(ch.alpha * np.exp(-1j * ch.theta) - ch.h)) < 1e-12
+
+
+def noise(n0: float, stream: RngStream, size=None):
+    """CN(0, n0) receiver noise."""
+    return standard_complex_normal(stream.generator(), size) * np.sqrt(n0)
 
 
 class TestNoise:
     def test_variance(self):
-        noise = sample_noise(2.0, RngStream(7), size=N_SAMPLES)
-        power = np.abs(noise) ** 2
+        power = np.abs(noise(2.0, RngStream(7), N_SAMPLES)) ** 2
         assert abs(power.mean() - 2.0) < 0.02  # 1 %
 
     def test_zero_mean(self):
-        noise = sample_noise(1.0, RngStream(8), size=N_SAMPLES)
-        se = 1.0 / np.sqrt(noise.size)  # std of each quadrature-pair mean
-        assert abs(noise.mean()) < 3 * se
+        values = noise(1.0, RngStream(8), N_SAMPLES)
+        se = 1.0 / np.sqrt(values.size)  # std of each quadrature-pair mean
+        assert abs(values.mean()) < 3 * se
 
     def test_scalar_draw(self):
-        value = sample_noise(0.5, RngStream(9))
-        assert isinstance(value, complex)
+        assert isinstance(noise(0.5, RngStream(9)), complex)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_n0(self, bad):
-        with pytest.raises(ValueError):
-            sample_noise(bad, RngStream(0))
+        """A sweep sets N0 = 10**(-snr_db/10); an N0 that is not finite and
+        > 0 maps to a non-finite grid point, which the sweep rejects."""
+        config = SchemeConfig(Scheme.DH_BLIND, 4, build_constellation(ConstellationKind.PSK, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            snr_db = float(-10.0 * np.log10(bad))
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepSpec(config=config, snr_grid_db=(snr_db,))
 
 
 class TestDeterminism:
     def test_identical_streams_identical_sequences(self):
-        a = sample_noise(1.0, RngStream(42, 5), size=1000)
-        b = sample_noise(1.0, RngStream(42, 5), size=1000)
+        a = noise(1.0, RngStream(42, 5), 1000)
+        b = noise(1.0, RngStream(42, 5), 1000)
         assert np.array_equal(a, b)
 
     def test_identical_channel_draws(self):
-        c1 = sample_channel(16, RngStream(3, 11))
-        c2 = sample_channel(16, RngStream(3, 11))
-        assert np.array_equal(c1.h, c2.h) and np.array_equal(c1.g, c2.g)
+        c1 = per_element.channel(16, RngStream(3, 11).generator(), 1)
+        c2 = per_element.channel(16, RngStream(3, 11).generator(), 1)
+        assert np.array_equal(c1, c2)
 
     def test_distinct_streams_differ(self):
-        a = sample_noise(1.0, RngStream(42, 0), size=100)
-        b = sample_noise(1.0, RngStream(42, 1), size=100)
+        a = noise(1.0, RngStream(42, 0), 100)
+        b = noise(1.0, RngStream(42, 1), 100)
         assert not np.array_equal(a, b)
 
     def test_generator_continues_within_stream(self):
         rng = RngStream(5, 0).generator()
-        first = sample_channel(4, rng)
-        second = sample_channel(4, rng)
-        assert not np.array_equal(first.h, second.h)
+        first = per_element.channel(4, rng, 1)
+        second = per_element.channel(4, rng, 1)
+        assert not np.array_equal(first, second)
 
 
 class TestValidation:
     def test_rejects_zero_reflectors(self):
         with pytest.raises(ValueError):
-            sample_channel(0, RngStream(0))
+            SchemeConfig(Scheme.DH_BLIND, 0, build_constellation(ConstellationKind.PSK, 2))
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValueError):
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
-
-    def test_from_coefficients_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            ChannelRealization.from_coefficients(np.ones(3), np.ones(4))
