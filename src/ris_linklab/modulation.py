@@ -9,6 +9,14 @@ Three constellation families are supported:
 * ``AP_PHASE`` — the phase book ``w_m = 2*pi*m/M`` used when the reflecting
   surface itself encodes a message by rotating all elements by a common
   phase.  Points coincide with PSK; the ``phases`` field exposes ``w_m``.
+
+:func:`detect_ml` is coherent ML detection against a known gain g.  Since
+``|r - g*s|**2 = |g|**2 * |r/g - s|**2``, it slices ``z = r/g`` in O(1) per
+sample: square QAM rounds each axis to the nearest lattice level (clipped
+to the edge levels), PSK and AP_PHASE quantise the angle of z to M
+sectors.  Exact ties go to the lowest index: to the lower level on each
+QAM axis, to the lower of two neighbouring phases, and to 0 between M - 1
+and 0; a zero gain decides 0.
 """
 
 from __future__ import annotations
@@ -112,10 +120,44 @@ def detect_ml(received, gain, constellation: Constellation) -> np.ndarray:
     break toward the lowest symbol index.  ``received`` and ``gain`` are
     scalars or arrays that broadcast together; for a symbol energy Es
     other than 1, pass ``sqrt(Es) * gain``.
+
+    The decision is the point nearest to ``r / g``, found by the slicers
+    the module docstring describes.  A zero gain (blocked surface) makes
+    every point equally likely and decides 0.
     """
     received = np.asarray(received)
     gain = np.asarray(gain)
     if not (np.all(np.isfinite(received)) and np.all(np.isfinite(gain))):
         raise ValueError("received samples and gains must be finite")
-    hypotheses = gain[..., None] * constellation.points
-    return np.argmin(np.abs(received[..., None] - hypotheses) ** 2, axis=-1)
+    blocked = gain == 0
+    z = received / np.where(blocked, 1, gain)
+    if constellation.kind is ConstellationKind.QAM:
+        index = _slice_qam(z, constellation)
+    else:
+        index = _slice_phase(z, constellation.order)
+    return np.where(blocked, 0, index)
+
+
+def _slice_qam(z: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Nearest square-lattice point; a tie goes to the lower level on each
+    axis, which is the lower index since index = row * side + col."""
+    side = math.isqrt(constellation.order)
+    # The levels are odd multiples of the half-step d, the smallest positive level.
+    d = constellation.points[side // 2].real
+    lowest = round(constellation.points[0].real / d)
+    col = _nearest_level((z.real / d - lowest) / 2, side)
+    row = _nearest_level((z.imag / d - lowest) / 2, side)
+    return row * side + col
+
+
+def _nearest_level(u: np.ndarray, side: int) -> np.ndarray:
+    """Level k sits at u = k; a tie at k + 1/2 goes to k, past the edges to the edge."""
+    return np.clip(np.ceil(u - 0.5), 0, side - 1).astype(np.intp)
+
+
+def _slice_phase(z: np.ndarray, order: int) -> np.ndarray:
+    """Nearest point exp(2j*pi*m/M) by angle: point m sits at t = m, with t
+    in [-M/2, M/2].  A tie goes to the lower index: t = m + 1/2 to m, and
+    t = -1/2, the tie between M - 1 and 0, to 0."""
+    t = np.angle(z) / (2.0 * np.pi / order)
+    return np.where(t == -0.5, 0, np.ceil(t - 0.5)).astype(np.intp) % order

@@ -2,12 +2,17 @@
 
 Trials are fast-fading: every trial draws a fresh composite channel gain, a
 uniform symbol (or message), and a noise sample, then runs coherent
-maximum-likelihood detection against that gain through the batched
-:func:`~ris_linklab.modulation.detect_ml`.
+maximum-likelihood detection against that gain through
+:func:`~ris_linklab.modulation.detect_ml`, a slicer that costs O(1) per
+trial at any M.  It breaks exact ties toward the lowest index, so a zero
+(blocked) gain decides symbol 0; continuous draws land on a tie with
+probability zero.
 
 Each chunk draws from its own stream in a fixed order: the gain block(s)
 of :func:`~ris_linklab.schemes.draw_gains`, then the symbol indices, then
-the real and the imaginary noise blocks.  Per scheme the gain blocks are
+the real and the imaginary noise blocks (one
+:func:`~ris_linklab.rng.standard_complex_normal` draw, scaled by sqrt(N0)).
+Per scheme the gain blocks are
 
 * ``dh_intelligent``: Rayleigh alpha (trials x N), then Rayleigh beta;
 * ``ap_intelligent``: Rayleigh beta (trials x N);
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modulation import detect_ml
-from .rng import RAYLEIGH_SCALE, RngStream
+from .rng import RngStream, standard_complex_normal
 from .schemes import SchemeConfig, draw_gains
 
 WORKERS_ENV_VAR = "RIS_LINKLAB_THREADS"
@@ -62,8 +67,9 @@ class SweepSpec:
     point runs until ``min_errors`` symbol errors are seen or ``max_trials``
     trials are exhausted, in chunks of ``chunk_size`` trials.
 
-    Grid values must be finite, and the grid and the chunk count per point
-    must each stay below 2**32 so that every chunk has its own stream.
+    Grid values must be finite and give a finite, non-zero float N0, and
+    the grid and the chunk count per point must each stay below 2**32 so
+    that every chunk has its own stream.
     """
 
     config: SchemeConfig
@@ -84,9 +90,13 @@ class SweepSpec:
         object.__setattr__(self, "snr_grid_db", grid)
         if len(grid) == 0:
             raise ValueError("snr_grid_db must not be empty")
-        bad = [v for v in grid if not math.isfinite(v)]
+        # NaN and +-inf fail this too: they give an N0 of NaN, 0 or inf.
+        bad = [v for v in grid if not 0.0 < _noise_density(v) < math.inf]
         if bad:
-            raise ValueError(f"snr_grid_db values must be finite, got {bad[0]}")
+            raise ValueError(
+                "snr_grid_db values must be finite and give a finite, non-zero "
+                f"N0 = 10**(-snr/10), i.e. lie within about -3082 to +3236 dB; got {bad[0]}"
+            )
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
         if self.min_errors < 1:
@@ -145,6 +155,14 @@ def confidence_interval(
     return (float(ci.low), float(ci.high))
 
 
+def _noise_density(snr_db: float) -> float:
+    """N0 at unit symbol energy: Es/N0 is swept by scaling the noise."""
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _chunk_counts(
     config: SchemeConfig, snr_db: float, stream: RngStream, trials: int
 ) -> tuple[int, int]:
@@ -160,14 +178,11 @@ def _chunk_counts(
     """
     rng = stream.generator()
     const = config.constellation
-    # Es/N0 is swept by scaling noise at fixed unit symbol energy.
-    n0 = 10.0 ** (-snr_db / 10.0)
+    n0 = _noise_density(snr_db)
 
     gain = draw_gains(config.scheme, config.n_reflectors, rng, trials)
     tx = rng.integers(0, const.order, size=trials)
-    noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) * (
-        RAYLEIGH_SCALE * np.sqrt(n0)
-    )
+    noise = standard_complex_normal(rng, trials) * np.sqrt(n0)
     received = gain * const.points[tx] + noise
     rx = detect_ml(received, gain, const)
 

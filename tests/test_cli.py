@@ -214,6 +214,18 @@ class TestMainEntry:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("snr", ["-4000", "4000"])
+    def test_grid_outside_n0_range_is_usage_error(self, tmp_path, capsys, snr):
+        """N0 would overflow (-4000 dB) or underflow to a noiseless link (+4000 dB)."""
+        rc = main([
+            "simulate", "--scheme", "dh_blind", "--n", "1", "--m", "2",
+            f"--snr-start-db={snr}", f"--snr-stop-db={snr}",
+            "--max-trials", "10000", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 1
+        assert "non-zero N0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_dual_hop_order_8_is_usage_error(self, tmp_path, capsys):
         """Dual-hop links use BPSK at M = 2 and square QAM above, so M = 8 is refused."""
         rc = main([

@@ -12,6 +12,8 @@ from ris_linklab.modulation import (
     detect_ml,
 )
 
+import argmin
+
 ALL_KINDS_AND_ORDERS = [
     (ConstellationKind.PSK, 2),
     (ConstellationKind.PSK, 4),
@@ -22,6 +24,14 @@ ALL_KINDS_AND_ORDERS = [
     (ConstellationKind.AP_PHASE, 2),
     (ConstellationKind.AP_PHASE, 4),
     (ConstellationKind.AP_PHASE, 16),
+]
+
+# Every valid order in {2, 4, 16, 64} of each kind (square QAM starts at 4).
+SLICER_CASES = [
+    (kind, order)
+    for kind in ConstellationKind
+    for order in (2, 4, 16, 64)
+    if not (kind is ConstellationKind.QAM and order == 2)
 ]
 
 
@@ -162,3 +172,98 @@ class TestDetectionProperties:
         c = build_constellation(ConstellationKind.QAM, 16)
         received = c.points[index] + complex(noise_re, noise_im)
         assert detect_ml(scale * received, scale * 1.0, c) == detect_ml(received, 1.0, c)
+
+
+class TestSlicerMatchesArgmin:
+    """The O(1) slicers decide as the exhaustive argmin over all M hypotheses."""
+
+    SAMPLES = 100_000
+    BLOCK = 10_000
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 30.0])
+    @pytest.mark.parametrize("complex_gain", [False, True], ids=["real_gain", "complex_gain"])
+    @pytest.mark.parametrize("kind,order", SLICER_CASES)
+    def test_no_mismatch(self, kind, order, complex_gain, snr_db):
+        c = build_constellation(kind, order)
+        rng = np.random.default_rng(2024)
+        n = self.SAMPLES
+        if complex_gain:
+            gain = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+        else:
+            gain = rng.standard_normal(n)  # both signs
+        tx = rng.integers(0, order, size=n)
+        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(
+            10.0 ** (-snr_db / 10.0) / 2.0
+        )
+        received = gain * c.points[tx] + noise
+        sliced = detect_ml(received, gain, c)
+        oracle = np.concatenate([
+            argmin.detect_ml(received[k : k + self.BLOCK], gain[k : k + self.BLOCK], c)
+            for k in range(0, n, self.BLOCK)
+        ])
+        assert np.count_nonzero(sliced != oracle) == 0
+        assert 0 < np.count_nonzero(sliced != tx) < n  # the cases see errors, not only hits
+
+
+class TestSlicerTies:
+    """Exact decision boundaries follow the rule: ties go to the lowest index."""
+
+    def test_bpsk_quadrature_axis_goes_to_zero(self):
+        c = build_constellation(ConstellationKind.PSK, 2)
+        assert np.array_equal(detect_ml([1j, -1j], 1.0, c), [0, 0])
+
+    @pytest.mark.parametrize("kind", [ConstellationKind.PSK, ConstellationKind.AP_PHASE])
+    def test_qpsk_boundaries(self, kind):
+        """The diagonals: each goes to the lower of its two points, and the
+        wrap tie between 3 and 0 goes to 0."""
+        c = build_constellation(kind, 4)
+        assert np.array_equal(detect_ml([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 1.0, c), [0, 1, 2, 0])
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_wrap_tie_goes_to_zero(self, order):
+        """Halfway between M - 1 and 0 (angle -pi/M) decides 0, for any gain phase."""
+        c = build_constellation(ConstellationKind.AP_PHASE, order)
+        z = -1j if order == 2 else 1 - 1j
+        gains = np.array([1.0, -1.0, 1j, -1j])  # rotations by multiples of pi/2 are exact
+        assert np.array_equal(detect_ml(z * gains, gains, c), [0, 0, 0, 0])
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 64])
+    def test_negative_real_axis(self, order):
+        """-1 - 0j and -1 + 0j both sit on point M/2."""
+        c = build_constellation(ConstellationKind.PSK, order)
+        assert np.array_equal(detect_ml([complex(-1, -0.0), complex(-1, 0.0)], 1.0, c), [order // 2] * 2)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_qam_centre_four_way_tie(self, order):
+        c = build_constellation(ConstellationKind.QAM, order)
+        inner = np.flatnonzero(np.isclose(np.abs(c.points), np.abs(c.points).min()))
+        assert len(inner) == 4
+        assert np.array_equal(detect_ml([0j, 0j], [1.0, 1j], c), [inner.min()] * 2)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_qam_axis_midpoints(self, order):
+        """Halfway between two adjacent levels of either axis goes to the lower level."""
+        c = build_constellation(ConstellationKind.QAM, order)
+        side = int(np.sqrt(order))
+        d = c.points.real[c.points.real > 0].min()  # levels are odd multiples of d
+        level = lambda k: d * (2 * k - side + 1)
+        for k in range(side - 1):
+            midpoint = d * (2 * k - side + 2)
+            for other in range(side):
+                cases = {
+                    complex(midpoint, level(other)): other * side + k,  # real-axis tie
+                    complex(level(other), midpoint): k * side + other,  # imaginary-axis tie
+                }
+                for z, expected in cases.items():
+                    assert detect_ml(z, 1.0, c) == expected, (k, other, z)
+                    assert detect_ml(2.0 * z, 2.0, c) == expected, (k, other, z)
+
+    def test_broadcast_zero_gain(self):
+        """A zero gain decides 0 wherever it broadcasts; other rows are unaffected."""
+        c = build_constellation(ConstellationKind.QAM, 16)
+        received = c.points[[3, 7, 12, 15]]
+        assert np.array_equal(detect_ml(received, 0.0, c), [0, 0, 0, 0])
+        decided = detect_ml(received, np.array([[0.0], [1.0]]), c)
+        assert np.array_equal(decided, [[0, 0, 0, 0], [3, 7, 12, 15]])
+        psk = build_constellation(ConstellationKind.PSK, 8)
+        assert np.array_equal(detect_ml(psk.points[[5, 6]], np.zeros((3, 1)), psk), np.zeros((3, 2)))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import k0
 from scipy.stats import beta
@@ -69,6 +71,40 @@ class TestDeterminism:
         assert a != b
 
 
+@st.composite
+def small_specs(draw):
+    """Small sweeps of every scheme and valid order, budgets of 1-3 chunks."""
+    scheme = draw(st.sampled_from(list(Scheme)))
+    if scheme.is_access_point:
+        kind, order = ConstellationKind.AP_PHASE, draw(st.sampled_from([2, 4, 8, 16, 64]))
+    else:
+        kind, order = draw(st.sampled_from([
+            (ConstellationKind.PSK, 2), (ConstellationKind.PSK, 8),
+            (ConstellationKind.QAM, 4), (ConstellationKind.QAM, 16), (ConstellationKind.QAM, 64),
+        ]))
+    config = SchemeConfig(scheme, draw(st.integers(1, 8)), build_constellation(kind, order))
+    grid = draw(st.lists(st.integers(-20, 30), min_size=1, max_size=3, unique=True))
+    chunk_size = draw(st.integers(1, 500))
+    chunks = draw(st.integers(1, 3))
+    return SweepSpec(
+        config=config,
+        snr_grid_db=tuple(sorted(float(v) for v in grid)),
+        max_trials=draw(st.integers(max(chunks - 1, 1) * chunk_size, chunks * chunk_size)),
+        min_errors=draw(st.integers(1, 300)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        chunk_size=chunk_size,
+    )
+
+
+class TestWorkerInvarianceProperty:
+    @given(spec=small_specs())
+    # the fixture only clears the worker cap, which holds across examples
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_two_workers_match_one(self, spec, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        assert run_sweep(spec, 1) == run_sweep(spec, 2)
+
+
 class TestStoppingRule:
     def test_stops_after_min_errors(self):
         # at -5 dB the blind link errs every few symbols; one chunk suffices
@@ -130,10 +166,7 @@ class TestKernelMatchesScalarPath:
         rng = stream.generator()
         h, g = draw_channel(rng, self.TRIALS)
         tx = rng.integers(0, order, size=self.TRIALS)
-        n0 = 10.0 ** (-snr_db / 10.0)
-        noise = (rng.standard_normal(self.TRIALS) + 1j * rng.standard_normal(self.TRIALS)) * (
-            RAYLEIGH_SCALE * np.sqrt(n0)
-        )
+        noise = standard_complex_normal(rng, self.TRIALS) * np.sqrt(10.0 ** (-snr_db / 10.0))
         const = config.constellation
         received = per_element.received(scheme, h, g, const, tx, noise)
         rx = detect_ml(received, per_element.gain(scheme, h, g), const)
@@ -296,6 +329,17 @@ class TestSpecValidation:
     def test_rejects_non_finite_grid(self, bad):
         with pytest.raises(ValueError, match="must be finite"):
             make_spec(Scheme.DH_BLIND, 4, [0.0, bad], max_trials=20_000, seed=1)
+
+    @pytest.mark.parametrize("bad", [-4000.0, 4000.0])
+    def test_rejects_grid_outside_n0_range(self, bad):
+        """N0 = 10**(-snr/10) overflows at -4000 dB and underflows to 0 at +4000 dB."""
+        with pytest.raises(ValueError, match=r"finite, non-zero N0"):
+            make_spec(Scheme.DH_BLIND, 4, sorted([0.0, bad]), max_trials=20_000, seed=1)
+
+    def test_accepts_grid_inside_n0_range(self):
+        spec = make_spec(Scheme.DH_BLIND, 1, [-3080.0, 3230.0], max_trials=10_000, min_errors=1, seed=1)
+        low, high = run_sweep(spec)
+        assert low.symbol_errors > 0 and high.symbol_errors == 0
 
     def test_rejects_grid_of_2_pow_32_points(self):
         class HugeGrid:  # has a length, but is never to be iterated
