@@ -21,8 +21,8 @@ function under a Gaussian (large-N) model of the composite channel gain:
   at N = 4 between 0 and 20 dB).
 
 Average M-PSK/M-QAM symbol error probabilities follow from the standard
-finite-range MGF integrals, evaluated by fixed-order Gauss-Legendre
-quadrature (the integrands are smooth and bounded).
+finite-range MGF integrals, evaluated by Gauss-Legendre quadrature of
+``nodes`` points, at least 16 (the integrands are smooth and bounded).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ PI = np.pi
 
 __all__ = [
     "AnalyticModel",
-    "QuadratureSpec",
     "WaterfallLaw",
     "SaturationLaw",
     "Regime",
@@ -51,12 +50,10 @@ __all__ = [
     "sep_mqam",
     "sep_upper_bound",
     "asymptote",
-    "cpep",
     "average_snr",
     "required_snr_db",
     "qfunc",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 
@@ -64,24 +61,9 @@ def db_to_linear(db) -> float:
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def linear_to_db(x) -> float:
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
-
-
 def qfunc(x):
     """Gaussian tail probability Q(x) = P(Z > x)."""
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre node count for production integrals."""
-
-    node_count: int = 256
-
-    def __post_init__(self) -> None:
-        if self.node_count < 16:
-            raise ValueError(f"node_count must be >= 16, got {self.node_count}")
 
 
 @dataclass(frozen=True)
@@ -98,17 +80,6 @@ class AnalyticModel:
         if not (np.isfinite(self.snr) and self.snr > 0):
             raise ValueError(f"snr must be finite and > 0, got {self.snr}")
 
-    @property
-    def mgf_params(self) -> tuple[float, ...]:
-        """(mean-square term, variance term) for intelligent schemes;
-        (exponential scale,) for blind schemes."""
-        n = self.n_reflectors
-        if self.scheme is Scheme.DH_INTELLIGENT:
-            return (n * n * PI * PI / 16.0, n * (16.0 - PI * PI) / 8.0)
-        if self.scheme is Scheme.AP_INTELLIGENT:
-            return (n * n * PI / 4.0, n * (4.0 - PI) / 2.0)
-        return (n * self.snr,)
-
 
 def log_mgf(model: AnalyticModel, s):
     """log E[exp(s*gamma)] for s <= 0.
@@ -120,10 +91,13 @@ def log_mgf(model: AnalyticModel, s):
     s = np.asarray(s, dtype=float)
     if np.any(s > 0):
         raise ValueError("mgf is only evaluated for s <= 0")
-    params = model.mgf_params
-    if len(params) == 1:
-        return -np.log1p(-s * params[0])
-    m2, v = params
+    n = model.n_reflectors
+    if model.scheme is Scheme.DH_INTELLIGENT:
+        m2, v = n * n * PI * PI / 16.0, n * (16.0 - PI * PI) / 8.0
+    elif model.scheme is Scheme.AP_INTELLIGENT:
+        m2, v = n * n * PI / 4.0, n * (4.0 - PI) / 2.0
+    else:  # blind: exponential gamma with mean N * snr
+        return -np.log1p(-s * (n * model.snr))
     den = 1.0 - s * v * model.snr
     return -0.5 * np.log(den) + s * m2 * model.snr / den
 
@@ -134,17 +108,19 @@ def mgf(model: AnalyticModel, s):
 
 
 @lru_cache(maxsize=32)
-def _leggauss(node_count: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(node_count)
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(nodes)
 
 
-def _gl_integral(func, a: float, b: float, node_count: int) -> float:
-    x, w = _leggauss(node_count)
+def _gl_integral(func, a: float, b: float, nodes: int) -> float:
+    if nodes < 16:
+        raise ValueError(f"nodes must be >= 16, got {nodes}")
+    x, w = _leggauss(nodes)
     half = 0.5 * (b - a)
     return float(half * np.dot(w, func(half * x + 0.5 * (a + b))))
 
 
-def sep_mpsk(model: AnalyticModel, order: int, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256) -> float:
     """Average M-ary phase-signaling SEP.
 
     (1/pi) * Integral_0^{(M-1)pi/M} M_gamma(-sin^2(pi/M) / sin^2 eta) d eta.
@@ -157,10 +133,10 @@ def sep_mpsk(model: AnalyticModel, order: int, quad: QuadratureSpec = Quadrature
     def integrand(eta):
         return mgf(model, -c / np.sin(eta) ** 2)
 
-    return _gl_integral(integrand, 0.0, (order - 1) * PI / order, quad.node_count) / PI
+    return _gl_integral(integrand, 0.0, (order - 1) * PI / order, nodes) / PI
 
 
-def sep_mqam(model: AnalyticModel, order: int, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def sep_mqam(model: AnalyticModel, order: int, nodes: int = 256) -> float:
     """Average square M-QAM SEP (dual-hop schemes only)."""
     _require_qam_ok(model, order)
     c = -3.0 / (2.0 * (order - 1))
@@ -169,8 +145,8 @@ def sep_mqam(model: AnalyticModel, order: int, quad: QuadratureSpec = Quadrature
     def integrand(eta):
         return mgf(model, c / np.sin(eta) ** 2)
 
-    first = _gl_integral(integrand, 0.0, PI / 2.0, quad.node_count)
-    second = _gl_integral(integrand, 0.0, PI / 4.0, quad.node_count)
+    first = _gl_integral(integrand, 0.0, PI / 2.0, nodes)
+    second = _gl_integral(integrand, 0.0, PI / 4.0, nodes)
     return (4.0 * q / PI) * first - (4.0 * q * q / PI) * second
 
 
@@ -192,6 +168,7 @@ def sep_upper_bound(
     Obtained by freezing the integrands at their maxima (eta = pi/2, and
     eta = pi/4 for the second QAM term); always dominates the exact
     integral because the integrands increase monotonically in sin^2(eta).
+    Every kind but QAM (PSK and the AP phase book) takes the phase bound.
     """
     if kind is ConstellationKind.QAM:
         _require_qam_ok(model, order)
@@ -253,17 +230,6 @@ def asymptote(model: AnalyticModel, order: int, regime: Regime) -> WaterfallLaw 
             )
         raise ValueError("the saturation law is only available for binary dual-hop intelligent links")
     raise ValueError(f"unknown regime: {regime!r}")
-
-
-def cpep(model: AnalyticModel, w_k: float, w_l: float, gain: float) -> float:
-    """Pairwise message error probability conditioned on the channel gain.
-
-    For the AP schemes with messages carried by phases w_k, w_l and a known
-    composite gain magnitude:  Q( sqrt(snr * gain^2 * (1 - cos(w_l - w_k))) ).
-    """
-    g2 = float(np.abs(gain)) ** 2
-    arg = model.snr * g2 * (1.0 - np.cos(w_l - w_k))
-    return float(qfunc(np.sqrt(arg)))
 
 
 def average_snr(model: AnalyticModel) -> float:

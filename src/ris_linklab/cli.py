@@ -24,19 +24,32 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic
-from .analytic import AnalyticModel, QuadratureSpec, db_to_linear, required_snr_db
+from .analytic import AnalyticModel, db_to_linear, required_snr_db
 from .modulation import ConstellationKind, build_constellation
-from .montecarlo import STREAM_INDEX_LIMIT, SweepPoint, SweepSpec, run_sweep
+from .montecarlo import STREAM_INDEX_LIMIT, SweepSpec, run_sweep
 from .schemes import Scheme, SchemeConfig
 
 CSV_HEADER = ["scheme", "N", "M", "snr_db", "metric", "value", "trials", "errors", "stderr"]
-
-FIGURE_PRESETS = ("fig2", "fig3", "fig5", "fig6", "fig7")
 
 # Default sweep windows chosen so curves span from ~1 down past 1e-6 where
 # reachable; override with the --snr-* flags.
 INTELLIGENT_RANGE_DB = (-60.0, 0.0)
 BLIND_RANGE_DB = (-20.0, 30.0)
+
+# Each figure preset's series in CSV order: (scheme, N, M, default SNR window,
+# simulate, exact curve, bound).
+_DH, _AP = Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT
+_INT, _BLIND = INTELLIGENT_RANGE_DB, BLIND_RANGE_DB
+FIGURES = {
+    "fig2": [(_DH, n, 2, _INT, False, True, True) for n in (16, 32)],
+    "fig3": [(_DH, n, 2, _INT, True, True, False) for n in (8, 16, 32, 64, 128)],
+    "fig5": [(s, n, 2, _INT, True, s is _AP, False) for n in (8, 16, 32, 64) for s in (_DH, _AP)],
+    "fig6": [(s, 64, m, _INT, True, True, False) for m in (4, 16, 64) for s in (_DH, _AP)],
+    "fig7": [
+        (s, n, 2, _BLIND, True, True, False) for n in (4, 16, 64) for s in (Scheme.DH_BLIND, Scheme.AP_BLIND)
+    ],
+}
+FIGURE_PRESETS = tuple(FIGURES)
 
 M_HELP = (
     "modulation order; dual-hop links use BPSK at M = 2 and square QAM above "
@@ -161,10 +174,10 @@ def _constellation_kind(scheme: Scheme, order: int) -> ConstellationKind:
     return ConstellationKind.PSK if order == 2 else ConstellationKind.QAM
 
 
-def _exact_sep(model: AnalyticModel, order: int, kind: ConstellationKind, quad: QuadratureSpec) -> float:
+def _exact_sep(model: AnalyticModel, order: int, kind: ConstellationKind, nodes: int) -> float:
     if kind is ConstellationKind.QAM:
-        return analytic.sep_mqam(model, order, quad)
-    return analytic.sep_mpsk(model, order, quad)
+        return analytic.sep_mqam(model, order, nodes)
+    return analytic.sep_mpsk(model, order, nodes)
 
 
 def analytic_rows(
@@ -176,18 +189,16 @@ def analytic_rows(
     include_bound: bool = False,
 ) -> list[CsvRow]:
     """Exact (and optionally bounded) SEP rows over an SNR grid."""
-    quad = QuadratureSpec(node_count=nodes)
     kind = _constellation_kind(scheme, order)
     rows = []
     for db in grid_db:
         model = AnalyticModel(scheme=scheme, n_reflectors=n, snr=float(db_to_linear(db)))
         rows.append(
-            CsvRow(scheme.value, n, order, db, "sep_exact", _exact_sep(model, order, kind, quad))
+            CsvRow(scheme.value, n, order, db, "sep_exact", _exact_sep(model, order, kind, nodes))
         )
         if include_bound:
-            bound_kind = ConstellationKind.QAM if kind is ConstellationKind.QAM else ConstellationKind.PSK
             rows.append(
-                CsvRow(scheme.value, n, order, db, "sep_bound", analytic.sep_upper_bound(model, order, bound_kind))
+                CsvRow(scheme.value, n, order, db, "sep_bound", analytic.sep_upper_bound(model, order, kind))
             )
     return rows
 
@@ -216,26 +227,12 @@ def simulation_rows(
         seed=seed,
     )
     rows = []
-    for point in run_sweep(spec):
-        rows.append(_sim_row(scheme, n, order, point, "ber"))
-        rows.append(_sim_row(scheme, n, order, point, "ser"))
+    for p in run_sweep(spec):
+        for metric, value, errors in (("ber", p.ber, p.bit_errors), ("ser", p.ser, p.symbol_errors)):
+            rows.append(
+                CsvRow(scheme.value, n, order, p.snr_db, metric, value, p.trials, errors, p.stderr(metric))
+            )
     return rows
-
-
-def _sim_row(scheme: Scheme, n: int, order: int, point: SweepPoint, metric: str) -> CsvRow:
-    value = point.ber if metric == "ber" else point.ser
-    errors = point.bit_errors if metric == "ber" else point.symbol_errors
-    return CsvRow(
-        scheme.value,
-        n,
-        order,
-        point.snr_db,
-        metric,
-        value,
-        trials=point.trials,
-        errors=errors,
-        stderr=point.stderr(metric),
-    )
 
 
 def run_figure_preset(
@@ -251,36 +248,14 @@ def run_figure_preset(
     if name not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_PRESETS}")
 
-    intelligent = snr_override or _snr_grid(*INTELLIGENT_RANGE_DB, 1.0)
-    blind = snr_override or _snr_grid(*BLIND_RANGE_DB, 1.0)
     rows: list[CsvRow] = []
-
-    if name == "fig2":
-        for n in (16, 32):
-            rows += analytic_rows(Scheme.DH_INTELLIGENT, n, 2, intelligent, nodes, include_bound=True)
-    elif name == "fig3":
-        for n in (8, 16, 32, 64, 128):
-            rows += simulation_rows(Scheme.DH_INTELLIGENT, n, 2, intelligent, seed, max_trials, min_errors)
-            rows += analytic_rows(Scheme.DH_INTELLIGENT, n, 2, intelligent, nodes)
-    elif name == "fig5":
-        for n in (8, 16, 32, 64):
-            for scheme in (Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT):
-                rows += simulation_rows(scheme, n, 2, intelligent, seed, max_trials, min_errors)
-            rows += analytic_rows(Scheme.AP_INTELLIGENT, n, 2, intelligent, nodes)
-    elif name == "fig6":
-        for order in (4, 16, 64):
-            for scheme in (Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT):
-                rows += simulation_rows(scheme, 64, order, intelligent, seed, max_trials, min_errors)
-                rows += analytic_rows(scheme, 64, order, intelligent, nodes)
-    else:  # fig7
-        for n in (4, 16, 64):
-            for scheme in (Scheme.DH_BLIND, Scheme.AP_BLIND):
-                rows += simulation_rows(scheme, n, 2, blind, seed, max_trials, min_errors)
-                rows += analytic_rows(scheme, n, 2, blind, nodes)
-
-    _check_finite(rows)
-    write_rows(rows, out)
-    return out, write_plot_script(out)
+    for scheme, n, order, window, simulate, curve, bound in FIGURES[name]:
+        grid = snr_override or _snr_grid(*window, 1.0)
+        if simulate:
+            rows += simulation_rows(scheme, n, order, grid, seed, max_trials, min_errors)
+        if curve:
+            rows += analytic_rows(scheme, n, order, grid, nodes, include_bound=bound)
+    return out, _write_csv(rows, out)
 
 
 def compare(
@@ -297,12 +272,11 @@ def compare(
     Positive when scheme_a needs more SNR than scheme_b.
     """
     n_b = n_a if n_b is None else n_b
-    quad = QuadratureSpec(node_count=nodes)
 
     def curve(scheme: Scheme, n: int):
         kind = _constellation_kind(scheme, order)
         return lambda snr: _exact_sep(
-            AnalyticModel(scheme=scheme, n_reflectors=n, snr=snr), order, kind, quad
+            AnalyticModel(scheme=scheme, n_reflectors=n, snr=snr), order, kind, nodes
         )
 
     return required_snr_db(curve(scheme_a, n_a), target) - required_snr_db(
@@ -310,10 +284,14 @@ def compare(
     )
 
 
-def _check_finite(rows: list[CsvRow]) -> None:
+def _write_csv(rows: list[CsvRow], path: Path) -> Path:
+    """Write rows and their plot script, refusing any non-finite value;
+    returns the script's path."""
     for r in rows:
         if not np.isfinite(r.value):
             raise ArithmeticError(f"non-finite result for {r}")
+    write_rows(rows, path)
+    return write_plot_script(path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -387,30 +365,25 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "analytic":
+        if args.command in ("analytic", "simulate"):
             grid = _snr_grid(args.snr_start_db, args.snr_stop_db, args.snr_step_db)
             rows = []
             for n in args.n:
-                rows += analytic_rows(args.scheme, n, args.m, grid, args.nodes, include_bound=args.bound)
-            _check_finite(rows)
-            write_rows(rows, args.out)
-            write_plot_script(args.out)
-            print(f"wrote {args.out}")
-        elif args.command == "simulate":
-            grid = _snr_grid(args.snr_start_db, args.snr_stop_db, args.snr_step_db)
-            rows = []
-            for n in args.n:
-                rows += simulation_rows(
-                    args.scheme, n, args.m, grid, args.seed, args.max_trials, args.min_errors
-                )
-            _check_finite(rows)
-            write_rows(rows, args.out)
-            write_plot_script(args.out)
+                if args.command == "analytic":
+                    rows += analytic_rows(args.scheme, n, args.m, grid, args.nodes, include_bound=args.bound)
+                else:
+                    rows += simulation_rows(
+                        args.scheme, n, args.m, grid, args.seed, args.max_trials, args.min_errors
+                    )
+            _write_csv(rows, args.out)
             print(f"wrote {args.out}")
         elif args.command == "figure":
+            bounds = (args.snr_start_db, args.snr_stop_db)
             override = None
-            if args.snr_start_db is not None and args.snr_stop_db is not None:
-                override = _snr_grid(args.snr_start_db, args.snr_stop_db, args.snr_step_db)
+            if bounds != (None, None):
+                if None in bounds:
+                    raise ValueError("give both --snr-start-db and --snr-stop-db, or neither")
+                override = _snr_grid(*bounds, args.snr_step_db)
             csv_path, script = run_figure_preset(
                 args.preset,
                 args.out,

@@ -130,6 +130,9 @@ class SweepPoint:
         return self.bit_errors / (self.trials * self.bits_per_symbol)
 
     def stderr(self, metric: str = "ser") -> float:
+        """Normal-approximation standard error.  It is 0 at a zero-error point,
+        which ran to max_trials: a censored rate, not an exact one, whose upper
+        limit `confidence_interval` gives (about 3.7 / trials at 95 %)."""
         p = self.ser if metric == "ser" else self.ber
         n = self.trials if metric == "ser" else self.trials * self.bits_per_symbol
         return math.sqrt(p * (1.0 - p) / n)

@@ -10,11 +10,11 @@ wider than the law gaps, because the exponent m2*snr / (1 + v*snr) still
 carries its transition term there (v*snr = 0.55 at the N = 32 crossing).
 So each test asserts three things:
 
-* the prescribed ``compare`` measurement equals an in-test oracle to
-  1e-3 dB.  The oracle integrates E[Q(sqrt(2*snr)*|A|)] over the Gaussian
-  gain A directly with ``scipy.integrate.quad`` and inverts it with
-  ``brentq``; its mean and variance come from the Rayleigh moments, not
-  from the analytic engine;
+* the prescribed ``compare`` measurement equals the quadrature oracle
+  ``bench/oracles.py::intelligent_crossing_db`` to 1e-3 dB.  The oracle
+  averages Q(sqrt(2*snr)*A) over the Gaussian gain A directly with
+  ``scipy.integrate.quad`` and inverts it with ``brentq``; its mean and
+  variance come from the Rayleigh moments, not from the analytic engine;
 * along N = 32 ... 512 the excess of the exact gap over the law gap
   shrinks strictly with each doubling of N (it about halves: the law is
   the large-N limit);
@@ -26,9 +26,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import erfc
 
 from ris_linklab.analytic import (
     AnalyticModel,
@@ -48,16 +45,13 @@ from ris_linklab.montecarlo import WORKERS_ENV_VAR, SweepSpec, run_sweep
 from ris_linklab.rng import RngStream
 from ris_linklab.schemes import Scheme, SchemeConfig
 
+from bench.oracles import intelligent_crossing_db, rayleigh_gain_moments, rayleigh_mpsk_ser
+
 PI = np.pi
 
 
 def model(scheme, n, snr):
     return AnalyticModel(scheme=scheme, n_reflectors=n, snr=snr)
-
-
-def blind_closed_form(n, snr):
-    r = n * snr
-    return 0.5 * (1.0 - np.sqrt(r / (1.0 + r)))
 
 
 def binary_sweep(scheme, n, grid, seed, max_trials=10_000_000, min_errors=200):
@@ -79,44 +73,10 @@ def report(criterion: str, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion}: PASS ({detail})")
 
 
-def rayleigh_gain_moments(scheme, n):
-    """Mean and variance of the composite gain of N unit-power Rayleigh legs.
-
-    DH: A = sum(alpha_i beta_i), E[alpha beta] = pi/4, Var = 1 - pi^2/16.
-    AP: B = sum(beta_i),         E[beta] = sqrt(pi)/2,  Var = 1 - pi/4.
-    """
-    if scheme is Scheme.DH_INTELLIGENT:
-        return n * PI / 4, n * (1 - PI**2 / 16)
-    if scheme is Scheme.AP_INTELLIGENT:
-        return n * np.sqrt(PI) / 2, n * (1 - PI / 4)
-    raise ValueError(f"no Gaussian gain law for {scheme.name}")
-
-
-def oracle_crossing(scheme, n, target):
-    """Es/N0 (dB) where the Gaussian-gain BEP E[Q(sqrt(2*snr)*|A|)] hits target.
-
-    Independent of the analytic engine: direct quadrature over A ~ N(mu, var)
-    in the standard variable z, then brentq.  Also returns v*snr at the
-    crossing, v = 2*var being the variance term of the exponent
-    m2*snr / (1 + v*snr).
-    """
-    mu, var = rayleigh_gain_moments(scheme, n)
-    sigma = np.sqrt(var)
-
-    def bep(snr):
-        c = np.sqrt(snr)  # Q(sqrt(2*snr)*|a|) = erfc(sqrt(snr)*|a|) / 2
-        peak = -2 * snr * mu * sigma / (1 + 2 * snr * var)
-        integrand = lambda z: np.exp(-z * z / 2) * erfc(c * abs(mu + sigma * z))
-        value, _ = quad(
-            integrand, -60, 60, points=[peak, -mu / sigma], limit=400, epsabs=0, epsrel=1e-11
-        )
-        return value / (2 * np.sqrt(2 * PI))
-
-    # Clamp so probabilities that underflow at high SNR keep the bracket finite.
-    db = brentq(
-        lambda d: np.log(max(bep(10 ** (d / 10)), 1e-300) / target), -80, 20, xtol=1e-10
-    )
-    return db, 2 * var * 10 ** (db / 10)
+def v_snr(scheme, n, db):
+    """v*snr at Es/N0 = db, v = 2*var being the variance term of the exponent
+    m2*snr / (1 + v*snr) and var the gain variance of the Rayleigh legs."""
+    return 2 * rayleigh_gain_moments(scheme.value, n)[1] * 10 ** (db / 10)
 
 
 LAW_SWEEP_N = (32, 64, 128, 256, 512)
@@ -137,14 +97,14 @@ def check_law_convergence(pairs, law_gap, centre, half_width):
     in_region = 0
     for (scheme_a, n_a), (scheme_b, n_b) in pairs:
         gap = compare(scheme_a, scheme_b, 2, 1e-5, n_a=n_a, n_b=n_b)
-        db_a, vsnr_a = oracle_crossing(scheme_a, n_a, 1e-5)
-        db_b, vsnr_b = oracle_crossing(scheme_b, n_b, 1e-5)
+        db_a = intelligent_crossing_db(scheme_a.value, n_a, 1e-5)
+        db_b = intelligent_crossing_db(scheme_b.value, n_b, 1e-5)
         assert abs(gap - (db_a - db_b)) <= 1e-3, (
             f"{scheme_a.name} N={n_a} vs {scheme_b.name} N={n_b}: compare gap "
             f"{gap:.4f} dB, oracle {db_a - db_b:.4f} dB"
         )
         excesses.append(gap - law_gap)
-        if max(vsnr_a, vsnr_b) <= LAW_REGION_VSNR:
+        if max(v_snr(scheme_a, n_a, db_a), v_snr(scheme_b, n_b, db_b)) <= LAW_REGION_VSNR:
             in_region += 1
             assert abs(gap - centre) <= half_width, (
                 f"N={n_a}/{n_b} gap {gap:.4f} dB outside {centre} +- {half_width} dB "
@@ -164,7 +124,7 @@ def test_criterion_01_blind_closed_form_equivalence():
     for n in (1, 4, 16, 64):
         for db in range(-20, 31):
             snr = float(db_to_linear(db))
-            diff = abs(sep_mpsk(model(Scheme.DH_BLIND, n, snr), 2) - blind_closed_form(n, snr))
+            diff = abs(sep_mpsk(model(Scheme.DH_BLIND, n, snr), 2) - rayleigh_mpsk_ser(2, n * snr))
             worst = max(worst, diff)
     elapsed = time.perf_counter() - start
     assert worst < 1e-10, f"worst |quadrature - closed form| = {worst:.3e}"
@@ -210,8 +170,8 @@ def test_criterion_03_six_db_waterfall_law():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"runtime {elapsed:.2f} s exceeds 5 s"
     oracle = (
-        oracle_crossing(Scheme.DH_INTELLIGENT, 32, 1e-5)[0]
-        - oracle_crossing(Scheme.DH_INTELLIGENT, 64, 1e-5)[0]
+        intelligent_crossing_db("dh_intelligent", 32, 1e-5)
+        - intelligent_crossing_db("dh_intelligent", 64, 1e-5)
     )
     assert abs(gap - oracle) <= 1e-3, f"gap {gap:.4f} dB, oracle {oracle:.4f} dB"
 
@@ -255,8 +215,8 @@ def test_criterion_05_one_db_ap_vs_dh_gap():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"runtime {elapsed:.2f} s exceeds 5 s"
     oracle = (
-        oracle_crossing(Scheme.DH_INTELLIGENT, 64, 1e-5)[0]
-        - oracle_crossing(Scheme.AP_INTELLIGENT, 64, 1e-5)[0]
+        intelligent_crossing_db("dh_intelligent", 64, 1e-5)
+        - intelligent_crossing_db("ap_intelligent", 64, 1e-5)
     )
     assert abs(gap - oracle) <= 1e-3, f"gap {gap:.4f} dB, oracle {oracle:.4f} dB"
 

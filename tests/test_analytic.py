@@ -11,13 +11,11 @@ import pytest
 
 from ris_linklab.analytic import (
     AnalyticModel,
-    QuadratureSpec,
     Regime,
     SaturationLaw,
     WaterfallLaw,
     asymptote,
     average_snr,
-    cpep,
     db_to_linear,
     log_mgf,
     mgf,
@@ -31,6 +29,7 @@ from ris_linklab.modulation import ConstellationKind
 from ris_linklab.rng import RngStream
 from ris_linklab.schemes import Scheme
 
+from bench.oracles import rayleigh_mpsk_ser
 from simpson import adaptive_simpson
 
 PI = np.pi
@@ -43,9 +42,15 @@ def model(scheme, n, snr) -> AnalyticModel:
     return AnalyticModel(scheme=scheme, n_reflectors=n, snr=snr)
 
 
-def blind_binary_closed_form(n, snr):
-    r = n * snr
-    return 0.5 * (1.0 - np.sqrt(r / (1.0 + r)))
+def cpep(model: AnalyticModel, w_k: float, w_l: float, gain: float) -> float:
+    """Pairwise message error probability conditioned on the channel gain.
+
+    For the AP schemes with messages carried by phases w_k, w_l and a known
+    composite gain magnitude:  Q( sqrt(snr * gain^2 * (1 - cos(w_l - w_k))) ).
+    """
+    g2 = float(np.abs(gain)) ** 2
+    arg = model.snr * g2 * (1.0 - np.cos(w_l - w_k))
+    return float(qfunc(np.sqrt(arg)))
 
 
 def stable_intelligent_integrand(a, b):
@@ -97,7 +102,7 @@ class TestSepMpsk:
             for db in range(-20, 31):
                 snr = float(db_to_linear(db))
                 quad = sep_mpsk(model(Scheme.DH_BLIND, n, snr), 2)
-                assert quad == pytest.approx(blind_binary_closed_form(n, snr), abs=1e-10)
+                assert quad == pytest.approx(rayleigh_mpsk_ser(2, n * snr), abs=1e-10)
 
     def test_blind_example_value(self):
         # r = 3 -> (1 - sqrt(3/4))/2
@@ -129,6 +134,10 @@ class TestSepMpsk:
     def test_rejects_order_below_two(self):
         with pytest.raises(ValueError):
             sep_mpsk(model(Scheme.DH_BLIND, 4, 1.0), 1)
+
+    def test_rejects_fewer_than_16_nodes(self):
+        with pytest.raises(ValueError, match="nodes must be >= 16"):
+            sep_mpsk(model(Scheme.DH_BLIND, 4, 1.0), 2, nodes=15)
 
 
 class TestSepMqam:
@@ -314,13 +323,12 @@ class TestMonotonicityAndStability:
 
     def test_node_doubling_converged(self):
         """Doubling the Gauss-Legendre order moves nothing by > 1e-10 relative."""
-        base, fine = QuadratureSpec(256), QuadratureSpec(512)
         for scheme in (Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT, Scheme.DH_BLIND):
             for n in (4, 64, 256):
                 for db in (-40, -20, 0):
                     m = model(scheme, n, float(db_to_linear(db)))
-                    a = sep_mpsk(m, 2, base)
-                    b = sep_mpsk(m, 2, fine)
+                    a = sep_mpsk(m, 2, nodes=256)
+                    b = sep_mpsk(m, 2, nodes=512)
                     assert abs(a - b) <= 1e-10 * max(a, 1e-300)
 
     def test_probability_range(self):

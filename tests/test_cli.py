@@ -56,6 +56,14 @@ class TestCsvSchema:
         assert b"\r" not in raw
 
 
+def series(rows):
+    """(scheme, N, M, metric) of each series, in order of first appearance."""
+    return list(dict.fromkeys((r.scheme, r.n, r.m, r.metric) for r in rows))
+
+
+SIM_THEN_CURVE = ("ber", "ser", "sep_exact")
+
+
 class TestFigurePresets:
     def test_fig2_is_analytic_only(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -65,6 +73,9 @@ class TestFigurePresets:
         assert all(r.trials is None for r in rows)
         assert sorted({r.n for r in rows}) == [16, 32]
         assert script.exists() and "matplotlib" in script.read_text()
+        assert series(rows) == [
+            ("dh_intelligent", n, 2, metric) for n in (16, 32) for metric in ("sep_exact", "sep_bound")
+        ]
 
     def test_fig6_series_structure(self, tmp_path):
         out = tmp_path / "fig6.csv"
@@ -78,6 +89,12 @@ class TestFigurePresets:
         assert {r.scheme for r in rows} == {"dh_intelligent", "ap_intelligent"}
         assert "ser" in {r.metric for r in rows}
         assert "sep_exact" in {r.metric for r in rows}
+        assert series(rows) == [
+            (scheme, 64, m, metric)
+            for m in (4, 16, 64)
+            for scheme in ("dh_intelligent", "ap_intelligent")
+            for metric in SIM_THEN_CURVE
+        ]
 
     def test_fig7_blind_pair(self, tmp_path):
         out = tmp_path / "fig7.csv"
@@ -88,6 +105,12 @@ class TestFigurePresets:
         rows = read_rows(out)
         assert {r.scheme for r in rows} == {"dh_blind", "ap_blind"}
         assert sorted({r.n for r in rows}) == [4, 16, 64]
+        assert series(rows) == [
+            (scheme, n, 2, metric)
+            for n in (4, 16, 64)
+            for scheme in ("dh_blind", "ap_blind")
+            for metric in SIM_THEN_CURVE
+        ]
 
     def test_fig3_overlays_dh_theory(self, tmp_path):
         out = tmp_path / "fig3.csv"
@@ -99,6 +122,9 @@ class TestFigurePresets:
         assert {r.scheme for r in rows} == {"dh_intelligent"}
         assert sorted({r.n for r in rows}) == [8, 16, 32, 64, 128]
         assert {"ber", "sep_exact"} <= {r.metric for r in rows}
+        assert series(rows) == [
+            ("dh_intelligent", n, 2, metric) for n in (8, 16, 32, 64, 128) for metric in SIM_THEN_CURVE
+        ]
 
     def test_fig5_theory_rows_are_ap_only(self, tmp_path):
         out = tmp_path / "fig5.csv"
@@ -110,6 +136,17 @@ class TestFigurePresets:
         assert {r.scheme for r in rows} == {"dh_intelligent", "ap_intelligent"}
         theory = {r.scheme for r in rows if r.metric == "sep_exact"}
         assert theory == {"ap_intelligent"}
+        assert series(rows) == [
+            key
+            for n in (8, 16, 32, 64)
+            for key in (
+                ("dh_intelligent", n, 2, "ber"),
+                ("dh_intelligent", n, 2, "ser"),
+                ("ap_intelligent", n, 2, "ber"),
+                ("ap_intelligent", n, 2, "ser"),
+                ("ap_intelligent", n, 2, "sep_exact"),
+            )
+        ]
 
     def test_preset_reruns_bitwise_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -257,6 +294,28 @@ class TestMainEntry:
         ])
         assert rc == 1
         assert "fewer than 2**32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["--snr-start-db=-10", "--snr-stop-db=-10"])
+    def test_figure_lone_snr_bound_is_usage_error(self, tmp_path, capsys, bound):
+        """One grid end alone would silently run the preset's full default grid."""
+        out = tmp_path / "x.csv"
+        rc = main(["figure", "fig2", bound, "--out", str(out)])
+        assert rc == 1
+        assert "give both --snr-start-db and --snr-stop-db" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--scheme", "dh_intelligent", "--snr-start-db", "-40", "--snr-stop-db", "-40",
+         "--nodes", "8", "--out", "x.csv"],
+        ["compare", "--scheme-a", "dh_blind", "--scheme-b", "ap_blind", "--n-a", "16",
+         "--target", "1e-3", "--nodes", "0"],
+    ], ids=["analytic-8", "compare-0"])
+    def test_nodes_below_16_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        rc = main(argv)
+        assert rc == 1
+        assert "nodes must be >= 16" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_numerical_failure_exits_two(self, tmp_path, monkeypatch):
         import ris_linklab.cli as cli_mod
