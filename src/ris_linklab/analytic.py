@@ -23,6 +23,12 @@ function under a Gaussian (large-N) model of the composite channel gain:
 Average M-PSK/M-QAM symbol error probabilities follow from the standard
 finite-range MGF integrals, evaluated by Gauss-Legendre quadrature of
 ``nodes`` points, at least 16 (the integrands are smooth and bounded).
+
+``AnalyticModel.snr`` is a float or a 1-D array of linear Es/N0 values.
+The MGF broadcasts it against the quadrature nodes, so one call evaluates a
+whole block of SNR points; each point's result equals, bit for bit, the
+call made with that point alone as a float.  A float SNR gives a float, an
+array SNR an array.
 """
 
 from __future__ import annotations
@@ -58,7 +64,12 @@ __all__ = [
 
 
 def db_to_linear(db) -> float:
-    return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
+    """10^(db/10) for one value, as a Python float.
+
+    Python's scalar pow, not numpy's array pow, which differs in the last
+    bit for a few per cent of inputs.
+    """
+    return 10.0 ** (float(db) / 10.0)
 
 
 def qfunc(x):
@@ -68,21 +79,34 @@ def qfunc(x):
 
 @dataclass(frozen=True)
 class AnalyticModel:
-    """MGF parameterization of one (scheme, N, snr) operating point."""
+    """MGF parameterization of (scheme, N) at one snr or a 1-D array of them."""
 
     scheme: Scheme
     n_reflectors: int
-    snr: float  # linear Es/N0
+    snr: float | np.ndarray  # linear Es/N0
 
     def __post_init__(self) -> None:
         if self.n_reflectors < 1:
             raise ValueError(f"n_reflectors must be >= 1, got {self.n_reflectors}")
-        if not (np.isfinite(self.snr) and self.snr > 0):
-            raise ValueError(f"snr must be finite and > 0, got {self.snr}")
+        snr = np.array(self.snr, dtype=float)
+        if snr.ndim > 1:
+            raise ValueError(f"snr must be a float or a 1-D array, got shape {snr.shape}")
+        bad = np.flatnonzero(~(np.isfinite(snr) & (snr > 0)))
+        if bad.size:
+            where = f"[{bad[0]}]" if snr.ndim else ""
+            raise ValueError(f"snr{where} must be finite and > 0, got {snr.reshape(-1)[bad[0]]}")
+        if snr.ndim:  # a private read-only copy, so the checked values stay checked
+            snr.flags.writeable = False
+            object.__setattr__(self, "snr", snr)
+
+
+def _scalar_or_array(x):
+    """A float for the 0-d (scalar-SNR) case, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def log_mgf(model: AnalyticModel, s):
-    """log E[exp(s*gamma)] for s <= 0.
+    """log E[exp(s*gamma)] for s <= 0, of shape ``snr.shape + s.shape``.
 
     Evaluated in log space so very large surfaces never overflow; the
     result underflows cleanly to -inf -> mgf 0 where the probability mass
@@ -91,15 +115,17 @@ def log_mgf(model: AnalyticModel, s):
     s = np.asarray(s, dtype=float)
     if np.any(s > 0):
         raise ValueError("mgf is only evaluated for s <= 0")
+    snr = np.asarray(model.snr, dtype=float)
+    snr = snr.reshape(snr.shape + (1,) * s.ndim)  # one row of s per snr
     n = model.n_reflectors
     if model.scheme is Scheme.DH_INTELLIGENT:
         m2, v = n * n * PI * PI / 16.0, n * (16.0 - PI * PI) / 8.0
     elif model.scheme is Scheme.AP_INTELLIGENT:
         m2, v = n * n * PI / 4.0, n * (4.0 - PI) / 2.0
     else:  # blind: exponential gamma with mean N * snr
-        return -np.log1p(-s * (n * model.snr))
-    den = 1.0 - s * v * model.snr
-    return -0.5 * np.log(den) + s * m2 * model.snr / den
+        return -np.log1p(-s * (n * snr))
+    den = 1.0 - s * v * snr
+    return -0.5 * np.log(den) + s * m2 * snr / den
 
 
 def mgf(model: AnalyticModel, s):
@@ -112,15 +138,22 @@ def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def _gl_integral(func, a: float, b: float, nodes: int) -> float:
+def _gl_integral(func, a: float, b: float, nodes: int):
+    """Integral of func over [a, b], for each row of func's (..., nodes) values.
+
+    Each row is reduced by its own ``np.dot``: a matrix product sums in
+    another order, and its last bits differ from the one-point result.
+    """
     if nodes < 16:
         raise ValueError(f"nodes must be >= 16, got {nodes}")
     x, w = _leggauss(nodes)
     half = 0.5 * (b - a)
-    return float(half * np.dot(w, func(half * x + 0.5 * (a + b))))
+    values = func(half * x + 0.5 * (a + b))
+    sums = np.array([np.dot(w, row) for row in values.reshape(-1, nodes)])
+    return half * sums.reshape(values.shape[:-1])
 
 
-def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256) -> float:
+def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256):
     """Average M-ary phase-signaling SEP.
 
     (1/pi) * Integral_0^{(M-1)pi/M} M_gamma(-sin^2(pi/M) / sin^2 eta) d eta.
@@ -133,10 +166,10 @@ def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256) -> float:
     def integrand(eta):
         return mgf(model, -c / np.sin(eta) ** 2)
 
-    return _gl_integral(integrand, 0.0, (order - 1) * PI / order, nodes) / PI
+    return _scalar_or_array(_gl_integral(integrand, 0.0, (order - 1) * PI / order, nodes) / PI)
 
 
-def sep_mqam(model: AnalyticModel, order: int, nodes: int = 256) -> float:
+def sep_mqam(model: AnalyticModel, order: int, nodes: int = 256):
     """Average square M-QAM SEP (dual-hop schemes only)."""
     _require_qam_ok(model, order)
     c = -3.0 / (2.0 * (order - 1))
@@ -147,7 +180,7 @@ def sep_mqam(model: AnalyticModel, order: int, nodes: int = 256) -> float:
 
     first = _gl_integral(integrand, 0.0, PI / 2.0, nodes)
     second = _gl_integral(integrand, 0.0, PI / 4.0, nodes)
-    return (4.0 * q / PI) * first - (4.0 * q * q / PI) * second
+    return _scalar_or_array((4.0 * q / PI) * first - (4.0 * q * q / PI) * second)
 
 
 def _require_qam_ok(model: AnalyticModel, order: int) -> None:
@@ -162,7 +195,7 @@ def sep_upper_bound(
     model: AnalyticModel,
     order: int,
     kind: ConstellationKind = ConstellationKind.PSK,
-) -> float:
+):
     """Closed-form SEP upper bound.
 
     Obtained by freezing the integrands at their maxima (eta = pi/2, and
@@ -174,10 +207,10 @@ def sep_upper_bound(
         _require_qam_ok(model, order)
         q = 1.0 - 1.0 / np.sqrt(order)
         c = -3.0 / (2.0 * (order - 1))
-        return float(2.0 * q * mgf(model, c) - q * q * mgf(model, 2.0 * c))
+        return _scalar_or_array(2.0 * q * mgf(model, c) - q * q * mgf(model, 2.0 * c))
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
-    return float((order - 1) / order * mgf(model, -np.sin(PI / order) ** 2))
+    return _scalar_or_array((order - 1) / order * mgf(model, -np.sin(PI / order) ** 2))
 
 
 class Regime(enum.Enum):

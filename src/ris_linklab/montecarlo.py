@@ -196,12 +196,10 @@ def _chunk_counts(
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        workers = int(env) if env else 1
-    else:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if env:
-            workers = min(workers, int(env))
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    env = os.environ.get(WORKERS_ENV_VAR)
+    if env:
+        workers = min(workers, int(env))
     return max(1, workers)
 
 
@@ -269,6 +267,7 @@ def _in_order(pool: ThreadPoolExecutor, workers: int, task, count: int):
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepPoint]:
     """Simulate every grid point of ``spec``; deterministic in ``spec.seed``.
 
+    ``workers`` defaults to the usable cores; RIS_LINKLAB_THREADS caps it.
     With more than one worker a single thread pool serves the whole sweep.
     """
     workers = _resolve_workers(workers)

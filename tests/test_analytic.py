@@ -191,6 +191,56 @@ class TestUpperBound:
             assert 1.0 <= ratio < 10.0
 
 
+class TestArraySnr:
+    """An array snr gives, point for point, the bits of the one-point calls."""
+
+    GRID = [float(db_to_linear(-60.0 + 0.6 * k)) for k in range(150)]
+
+    @staticmethod
+    def calls(scheme, order):
+        calls = [lambda m: sep_mpsk(m, order), lambda m: sep_upper_bound(m, order)]
+        if not scheme.is_access_point and order >= 4:
+            calls += [
+                lambda m: sep_mqam(m, order),
+                lambda m: sep_upper_bound(m, order, ConstellationKind.QAM),
+            ]
+        return calls
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 64])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_array_equals_scalar_bitwise(self, scheme, order):
+        block = model(scheme, 64, np.array(self.GRID))
+        for call in self.calls(scheme, order):
+            array = call(block)
+            assert isinstance(array, np.ndarray) and array.shape == (len(self.GRID),)
+            scalar = np.array([call(model(scheme, 64, snr)) for snr in self.GRID])
+            assert array.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("scheme", [Scheme.DH_INTELLIGENT, Scheme.AP_BLIND])
+    def test_scalar_snr_returns_float(self, scheme):
+        for call in self.calls(scheme, 16):
+            assert type(call(model(scheme, 64, 1e-3))) is float
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_one_bad_element(self, bad):
+        snr = np.full(5, 1e-3)
+        snr[3] = bad
+        with pytest.raises(ValueError, match=r"snr\[3\] must be finite and > 0"):
+            model(Scheme.DH_INTELLIGENT, 16, snr)
+
+    def test_rejects_two_dimensional_snr(self):
+        with pytest.raises(ValueError, match="1-D"):
+            model(Scheme.DH_BLIND, 16, np.full((2, 2), 1e-3))
+
+    def test_keeps_a_copy_of_the_checked_values(self):
+        snr = np.full(3, 1e-3)
+        m = model(Scheme.DH_BLIND, 16, snr)
+        snr[0] = np.nan
+        assert np.isfinite(m.snr).all()
+        with pytest.raises(ValueError):
+            m.snr[0] = np.nan
+
+
 class TestAsymptote:
     def test_dh_binary_rate(self):
         law = asymptote(model(Scheme.DH_INTELLIGENT, 1, 1.0), 2, Regime.WATERFALL)

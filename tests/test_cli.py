@@ -8,9 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ris_linklab.analytic import AnalyticModel, db_to_linear, sep_upper_bound
 from ris_linklab.cli import (
+    _ANALYTIC_BLOCK,
     CSV_HEADER,
     CsvRow,
+    _constellation_kind,
+    _exact_sep,
     analytic_rows,
     compare,
     main,
@@ -48,6 +52,19 @@ class TestCsvSchema:
             rec = list(csv.DictReader(fh))[0]
         assert rec["trials"] == "" and rec["errors"] == "" and rec["stderr"] == ""
         assert rec["metric"] == "sep_exact"
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_analytic_rows_match_one_point_evaluation(self, scheme):
+        """Blocked rows equal rows built from one AnalyticModel per point."""
+        grid = [-40.0 + 0.5 * k for k in range(150)]
+        assert len(grid) > _ANALYTIC_BLOCK and len(grid) % _ANALYTIC_BLOCK
+        kind = _constellation_kind(scheme, 16)
+        expected = []
+        for db in grid:
+            point = AnalyticModel(scheme, 64, db_to_linear(db))
+            expected.append(CsvRow(scheme.value, 64, 16, db, "sep_exact", _exact_sep(point, 16, kind, 256)))
+            expected.append(CsvRow(scheme.value, 64, 16, db, "sep_bound", sep_upper_bound(point, 16, kind)))
+        assert analytic_rows(scheme, 64, 16, grid, include_bound=True) == expected
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
@@ -302,6 +319,23 @@ class TestMainEntry:
         rc = main(["figure", "fig2", bound, "--out", str(out)])
         assert rc == 1
         assert "give both --snr-start-db and --snr-stop-db" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_figure_lone_snr_step_is_usage_error(self, tmp_path, capsys):
+        """A step alone would silently run the preset's default 1 dB grid."""
+        out = tmp_path / "x.csv"
+        rc = main(["figure", "fig2", "--snr-step-db", "5", "--out", str(out)])
+        assert rc == 1
+        assert "--snr-step-db needs both" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_has_no_nodes_option(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scheme", "dh_blind", "--n", "4", "--snr-start-db", "0",
+                  "--snr-stop-db", "0", "--max-trials", "10000", "--nodes", "8", "--out", str(out)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --nodes 8" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 """Tests for the sweep engine: determinism, stopping, statistical fidelity."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +19,7 @@ from ris_linklab.montecarlo import (
     confidence_interval,
     run_sweep,
 )
-from ris_linklab.montecarlo import _chunk_counts
+from ris_linklab.montecarlo import _chunk_counts, _resolve_workers
 from ris_linklab.rng import RAYLEIGH_SCALE, RngStream, standard_complex_normal
 from ris_linklab.schemes import Scheme, SchemeConfig
 
@@ -63,6 +65,16 @@ class TestDeterminism:
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
         assert run_sweep(spec, workers=16) == baseline
         assert run_sweep(spec) == baseline
+
+    @pytest.mark.parametrize("env, expected", [(None, 6), ("2", 2), ("8", 6)])
+    def test_default_workers_are_the_usable_cores(self, monkeypatch, env, expected):
+        """RIS_LINKLAB_THREADS caps the core count; it does not raise it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        if env is None:
+            monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(WORKERS_ENV_VAR, env)
+        assert _resolve_workers(None) == expected
 
     def test_seed_changes_results(self):
         grid = [0.0]
