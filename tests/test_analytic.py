@@ -194,7 +194,7 @@ class TestUpperBound:
 class TestArraySnr:
     """An array snr gives, point for point, the bits of the one-point calls."""
 
-    GRID = [float(db_to_linear(-60.0 + 0.6 * k)) for k in range(150)]
+    GRID = [db_to_linear(-60.0 + 0.6 * k) for k in range(150)]
 
     @staticmethod
     def calls(scheme, order):
