@@ -8,20 +8,14 @@ trial at any M.  It breaks exact ties toward the lowest index, so a zero
 (blocked) gain decides symbol 0; continuous draws land on a tie with
 probability zero.
 
-Each chunk draws from its own stream in a fixed order: the gain block(s)
-of :func:`~ris_linklab.schemes.draw_gains`, then the symbol indices, then
-the real and the imaginary noise blocks (one
+Each chunk draws from its own stream in a fixed order: the gain draws of
+:func:`~ris_linklab.schemes.draw_gains` (its docstring states them per
+scheme: blocked Exp(1) legs for the intelligent gains, the exact
+low-dimensional laws for the blind ones), then the symbol indices, then the
+real and the imaginary noise blocks (one
 :func:`~ris_linklab.rng.standard_complex_normal` draw, scaled by sqrt(N0)).
-Per scheme the gain blocks are
-
-* ``dh_intelligent``: Rayleigh alpha (trials x N), then Rayleigh beta;
-* ``ap_intelligent``: Rayleigh beta (trials x N);
-* ``dh_blind``: Gamma(N, 1) (trials), then Re and Im of CN(0, 1);
-* ``ap_blind``: Re and Im of CN(0, 1) (trials), scaled by sqrt(N).
-
-The blind gains are drawn from their exact laws, not from N per-element
-coefficients; ``tests/per_element.py`` holds the per-element channel they
-are tested against.
+``tests/per_element.py`` holds the per-element channel the gains are tested
+against.
 
 Work is organized in fixed-size chunks.  Chunk ``k`` of grid point ``p``
 always consumes the stream ``(seed, p * 2**32 + k)``, and a point stops at
@@ -171,13 +165,10 @@ def _chunk_counts(
 ) -> tuple[int, int]:
     """Run one chunk of trials; return (symbol_errors, bit_errors).
 
-    Draw order per chunk is fixed: the gain block(s) of ``draw_gains``
-    (listed per scheme in the module docstring), then symbol indices, then
-    the real and the imaginary noise blocks.  Only the composite gain
-    enters the received sample and the detector, so each scheme draws the
-    exact law of that gain: Rayleigh amplitudes (by inverse CDF) for the
-    intelligent schemes, the low-dimensional Gaussian (mixture) law for the
-    blind ones.
+    Draw order per chunk is fixed: the gain draws of ``draw_gains``, then
+    symbol indices, then the real and the imaginary noise blocks.  Only the
+    composite gain enters the received sample and the detector, so each
+    scheme draws the exact law of that gain.
     """
     rng = stream.generator()
     const = config.constellation
@@ -199,7 +190,13 @@ def _resolve_workers(workers: int | None) -> int:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        workers = min(workers, int(env))
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer (the worker cap), got {env!r}")
+        workers = min(workers, cap)
     return max(1, workers)
 
 

@@ -1,8 +1,9 @@
 """Deterministic random streams for the fading channels and receiver noise.
 
-Every random draw in this package flows through a counter-based Philox
-stream keyed by ``(seed, stream_id)``, so any chunk of work can be handed
-to any worker in any order and still produce the same numbers.
+Every random draw in this package flows through an SFC64 stream seeded by
+``SeedSequence(seed, spawn_key=(stream_id,))``.  A chunk's stream depends
+only on its key, not on which worker draws it or when, so any chunk of work
+can be handed to any worker in any order and still produce the same numbers.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator at position zero of this (seed, stream_id) stream."""
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        seeds = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        return np.random.Generator(np.random.SFC64(seeds))
 
 
 def standard_complex_normal(rng: np.random.Generator, size) -> np.ndarray:

@@ -29,9 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modulation import Constellation, ConstellationKind
-from .rng import RAYLEIGH_SCALE, standard_complex_normal
+from .rng import standard_complex_normal
 
 __all__ = ["Scheme", "SchemeConfig", "draw_gains"]
+
+# Values per leg in one block of the intelligent draws (see draw_gains).
+_BLOCK_VALUES = 65536
 
 
 class Scheme(enum.Enum):
@@ -72,9 +75,13 @@ def draw_gains(scheme: Scheme, n: int, rng: np.random.Generator, trials: int) ->
     Each branch draws the exact law of the scheme's gain over an N-element
     surface with i.i.d. CN(0, 1) legs, in this order:
 
-    * DH intelligent: ``A = sum(alpha_i beta_i)``; alpha then beta, each a
-      (trials, N) block of Rayleigh amplitudes by inverse CDF.
-    * AP intelligent: ``B = sum(beta_i)``; one (trials, N) Rayleigh block.
+    * DH intelligent: ``A = sum(alpha_i beta_i) = sum(sqrt(E_i F_i))``, since
+      the amplitude |h| of h ~ CN(0, 1) is sqrt(E) with E ~ Exp(1).  Trials
+      go in row blocks of ``max(1, 65536 // N)`` rows (the last may be
+      shorter); each block draws E, then F, as (rows, N) standard
+      exponentials.
+    * AP intelligent: ``B = sum(beta_i) = sum(sqrt(E_i))``; the same row
+      blocks, each one (rows, N) block of E.
     * DH blind: ``H = sqrt(X) * Z``; X ~ Gamma(N, 1), then Re Z and Im Z of
       Z ~ CN(0, 1), each a block of ``trials``.  Given g,
       ``sum(h_i g_i) ~ CN(0, |g|^2)`` and ``|g|^2 ~ Gamma(N, 1)``.
@@ -82,14 +89,29 @@ def draw_gains(scheme: Scheme, n: int, rng: np.random.Generator, trials: int) ->
 
     Intelligent gains are real and positive; blind gains are complex.
     """
-    if scheme is Scheme.DH_INTELLIGENT:
-        alpha = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-        beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-        return np.einsum("ij,ij->i", alpha, beta)
-    if scheme is Scheme.AP_INTELLIGENT:
-        return rng.rayleigh(RAYLEIGH_SCALE, (trials, n)).sum(axis=1)
+    if scheme is Scheme.DH_INTELLIGENT or scheme is Scheme.AP_INTELLIGENT:
+        return _amplitude_sums(rng, n, trials, legs=2 if scheme is Scheme.DH_INTELLIGENT else 1)
     if scheme is Scheme.DH_BLIND:
         scale = np.sqrt(rng.standard_gamma(n, trials))
     else:  # AP_BLIND
         scale = np.sqrt(n)
     return scale * standard_complex_normal(rng, trials)
+
+
+def _amplitude_sums(rng: np.random.Generator, n: int, trials: int, legs: int) -> np.ndarray:
+    """Row sums of sqrt(E) (one leg) or sqrt(E * F) (two legs), drawn in the
+    row blocks of ``draw_gains``.  The buffers stay a cache-sized
+    ``_BLOCK_VALUES`` values each, whatever ``trials``."""
+    rows = max(1, _BLOCK_VALUES // n)
+    buffers = np.empty((legs, min(rows, trials) * n))
+    gains = np.empty(trials)
+    for start in range(0, trials, rows):
+        block = buffers[:, : min(rows, trials - start) * n]
+        for leg in block:
+            rng.standard_exponential(out=leg)
+        amplitudes = block[0]
+        for other in block[1:]:
+            amplitudes *= other
+        np.sqrt(amplitudes, out=amplitudes)
+        amplitudes.reshape(-1, n).sum(axis=1, out=gains[start : start + len(amplitudes) // n])
+    return gains

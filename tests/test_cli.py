@@ -338,6 +338,18 @@ class TestMainEntry:
         assert "unrecognized arguments: --nodes 8" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_worker_cap_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("RIS_LINKLAB_THREADS", value)
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--scheme", "dh_blind", "--n", "4", "--snr-start-db", "0",
+                   "--snr-stop-db", "0", "--max-trials", "10000", "--out", str(out)])
+        assert rc == 1
+        assert f"RIS_LINKLAB_THREADS must be a positive integer (the worker cap), got {value!r}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["analytic", "--scheme", "dh_intelligent", "--snr-start-db", "-40", "--snr-stop-db", "-40",
          "--nodes", "8", "--out", "x.csv"],

@@ -20,7 +20,7 @@ from ris_linklab.montecarlo import (
     run_sweep,
 )
 from ris_linklab.montecarlo import _chunk_counts, _resolve_workers
-from ris_linklab.rng import RAYLEIGH_SCALE, RngStream, standard_complex_normal
+from ris_linklab.rng import RngStream, standard_complex_normal
 from ris_linklab.schemes import Scheme, SchemeConfig
 
 import per_element
@@ -159,6 +159,29 @@ def random_phases(seed: int, shape) -> np.ndarray:
     return np.exp(-2j * np.pi * RngStream(seed, 1).generator().random(shape))
 
 
+BLOCK_VALUES = 65536  # values per leg in one block of draw_gains' intelligent draws
+
+
+def intelligent_channel(scheme, n, seed):
+    """A replay's draw_channel for an intelligent scheme: the amplitudes in
+    the documented order (row blocks of max(1, 65536 // N) rows, each
+    drawing sqrt(Exp(1)) for alpha, then for beta), with random channel
+    phases.  AP intelligent draws beta only, and h is then 1."""
+    legs = 2 if scheme is Scheme.DH_INTELLIGENT else 1
+
+    def draw_channel(rng, trials):
+        rows = max(1, BLOCK_VALUES // n)
+        blocks = [
+            [np.sqrt(rng.standard_exponential((min(rows, trials - start), n))) for _ in range(legs)]
+            for start in range(0, trials, rows)
+        ]
+        phases = random_phases(seed, (legs, trials, n))
+        h_g = [np.concatenate(leg) * phase for leg, phase in zip(zip(*blocks), phases)]
+        return h_g if legs == 2 else (np.ones((trials, n)), h_g[0])
+
+    return draw_channel
+
+
 class TestKernelMatchesScalarPath:
     """The vectorized chunk kernel agrees with the per-element oracle.
 
@@ -171,18 +194,18 @@ class TestKernelMatchesScalarPath:
 
     TRIALS = 400
 
-    def replay(self, scheme, n, order, snr_db, seed, draw_channel):
+    def replay(self, scheme, n, order, snr_db, seed, draw_channel, trials=TRIALS):
         stream = RngStream(seed, 0)
         config = make_spec(scheme, n, [snr_db], order=order).config
-        sym, bit = _chunk_counts(config, snr_db, stream, self.TRIALS)
+        sym, bit = _chunk_counts(config, snr_db, stream, trials)
         rng = stream.generator()
-        h, g = draw_channel(rng, self.TRIALS)
-        tx = rng.integers(0, order, size=self.TRIALS)
-        noise = standard_complex_normal(rng, self.TRIALS) * np.sqrt(10.0 ** (-snr_db / 10.0))
+        h, g = draw_channel(rng, trials)
+        tx = rng.integers(0, order, size=trials)
+        noise = standard_complex_normal(rng, trials) * np.sqrt(10.0 ** (-snr_db / 10.0))
         const = config.constellation
         received = per_element.received(scheme, h, g, const, tx, noise)
         rx = detect_ml(received, per_element.gain(scheme, h, g), const)
-        assert 0 < sym < self.TRIALS
+        assert 0 < sym < trials
         assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
 
     @pytest.mark.parametrize("scheme", [Scheme.DH_BLIND, Scheme.AP_BLIND])
@@ -204,25 +227,17 @@ class TestKernelMatchesScalarPath:
 
     def test_amplitude_sampled_scheme(self):
         """DH intelligent: the amplitude draws, with random channel phases."""
-        n, seed = 5, 33
-
-        def draw_channel(rng, trials):
-            alpha = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-            beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-            phases = random_phases(seed, (2, trials, n))
-            return alpha * phases[0], beta * phases[1]
-
-        self.replay(Scheme.DH_INTELLIGENT, n, 2, -12.0, seed, draw_channel)
+        self.replay(Scheme.DH_INTELLIGENT, 5, 2, -12.0, 33, intelligent_channel(Scheme.DH_INTELLIGENT, 5, 33))
 
     def test_ap_amplitude_sampled_scheme(self):
         """AP intelligent: one amplitude block, with random channel phases."""
-        n, seed = 5, 35
+        self.replay(Scheme.AP_INTELLIGENT, 5, 4, -14.0, 35, intelligent_channel(Scheme.AP_INTELLIGENT, 5, 35))
 
-        def draw_channel(rng, trials):
-            beta = rng.rayleigh(RAYLEIGH_SCALE, (trials, n))
-            return np.ones((trials, n)), beta * random_phases(seed, (trials, n))
-
-        self.replay(Scheme.AP_INTELLIGENT, n, 4, -14.0, seed, draw_channel)
+    @pytest.mark.parametrize("scheme, order", [(Scheme.DH_INTELLIGENT, 2), (Scheme.AP_INTELLIGENT, 4)])
+    def test_chunk_longer_than_one_draw_block(self, scheme, order):
+        """N = 64 over 2500 trials: two whole blocks of 1024 rows, then 452 rows."""
+        n, seed = 64, 39
+        self.replay(scheme, n, order, -38.0, seed, intelligent_channel(scheme, n, seed), trials=2500)
 
     def test_blocked_surface_ties_to_lowest_index(self, monkeypatch):
         """A zero gain makes every hypothesis tie: the kernel decides index 0."""

@@ -131,6 +131,19 @@ class TestDeterminism:
         b = noise(1.0, RngStream(42, 1), 100)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_point_and_chunk_keys_differ(self, seed):
+        """Stream ids (p << 32) | c: swapped (p, c) pairs, and the last chunk
+        index c = 2**32 - 1 next to chunk 0 of the following point, all give
+        different streams."""
+        last = 2**32 - 1
+        pairs = [(0, 1), (1, 0), (0, last), (last, 0), (1, last), (last, 1), (last, last)]
+        draws = {RngStream(seed, (p << 32) | c).generator().random(4).tobytes() for p, c in pairs}
+        assert len(draws) == len(pairs)
+
+    def test_generator_is_sfc64(self):
+        assert isinstance(RngStream(1, 2).generator().bit_generator, np.random.SFC64)
+
     def test_generator_continues_within_stream(self):
         rng = RngStream(5, 0).generator()
         first = per_element.channel(4, rng, 1)

@@ -149,21 +149,34 @@ class TestBlindEquivalence:
 
 
 class TestDrawGainsMatchesPerElementChannel:
-    """The exact blind-gain laws equal the per-element channel in distribution.
+    """The exact gain laws equal the per-element channel in distribution.
 
-    Two-sample KS tests of ``draw_gains`` against the per-element oracle on
-    Re, Im and |.|^2, for both blind schemes at N = 1, 4, 16, 64, at a
-    shared Bonferroni level of 1e-3.
+    Two-sample KS tests of ``draw_gains`` against the per-element oracle at
+    N = 1, 4, 16, 64: on Re, Im and |.|^2 for both blind schemes, and on the
+    gain itself (real and positive) for both intelligent schemes.  Each
+    family is tested at a shared Bonferroni level of 1e-3.  The intelligent
+    samples have INTELLIGENT_TRIALS > 65536 rows, so at every N they span
+    more than one of the sampler's draw blocks.
     """
 
     SIZES = (1, 4, 16, 64)
     TRIALS = 50_000
+    INTELLIGENT_TRIALS = 100_000
+    ORACLE_ROWS = 10_000  # per-element trials per block, so memory stays small
     LEVEL = 1e-3
     STATISTICS = {"re": np.real, "im": np.imag, "power": lambda z: np.abs(z) ** 2}
 
-    def per_element(self, scheme, n, k):
+    def per_element(self, scheme, n, k, trials=TRIALS):
         rng = RngStream(41, k).generator()
-        return per_element.gain(scheme, *per_element.channel(n, rng, self.TRIALS))
+        return np.concatenate([
+            per_element.gain(scheme, *per_element.channel(n, rng, min(self.ORACLE_ROWS, trials - start)))
+            for start in range(0, trials, self.ORACLE_ROWS)
+        ])
+
+    def assert_not_rejected(self, pvalues):
+        level = self.LEVEL / len(pvalues)
+        rejected = {key: p for key, p in pvalues.items() if p < level}
+        assert not rejected, f"KS rejects at level {level:.1e}: {rejected}"
 
     def test_blind_laws_match_oracle(self):
         pvalues = {}
@@ -174,9 +187,20 @@ class TestDrawGainsMatchesPerElementChannel:
             oracle = self.per_element(scheme, n, k)
             for name, stat in self.STATISTICS.items():
                 pvalues[scheme.value, n, name] = ks_2samp(stat(exact), stat(oracle)).pvalue
-        level = self.LEVEL / len(pvalues)
-        rejected = {key: p for key, p in pvalues.items() if p < level}
-        assert not rejected, f"KS rejects at level {level:.1e}: {rejected}"
+        self.assert_not_rejected(pvalues)
+
+    def test_intelligent_laws_match_oracle(self):
+        """sum(sqrt(E_i F_i)) and sum(sqrt(E_i)), drawn in blocks, against
+        sum(|h_i| |g_i|) and sum(|g_i|) of explicit CN(0, 1) coefficients."""
+        pvalues = {}
+        for k, (scheme, n) in enumerate(
+            ((s, n) for s in (Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT) for n in self.SIZES),
+            start=2 * len(self.SIZES),  # streams apart from the blind test's
+        ):
+            exact = draw_gains(scheme, n, RngStream(40, k).generator(), self.INTELLIGENT_TRIALS)
+            oracle = self.per_element(scheme, n, k, self.INTELLIGENT_TRIALS)
+            pvalues[scheme.value, n] = ks_2samp(exact, oracle).pvalue
+        self.assert_not_rejected(pvalues)
 
     def test_oracle_rejects_large_n_model_for_dh_blind(self):
         """Power check: at small N the same test tells the DH cascade from
