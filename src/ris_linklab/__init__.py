@@ -2,18 +2,15 @@
 
 from .analytic import (
     AnalyticModel,
-    Regime,
-    SaturationLaw,
-    WaterfallLaw,
-    asymptote,
     average_snr,
     db_to_linear,
     mgf,
-    qfunc,
     required_snr_db,
+    saturation_exponent,
     sep_mpsk,
     sep_mqam,
     sep_upper_bound,
+    waterfall_rate,
 )
 from .modulation import Constellation, ConstellationKind, build_constellation, detect_ml
 from .montecarlo import SweepPoint, SweepSpec, confidence_interval, run_sweep

@@ -23,6 +23,8 @@ function under a Gaussian (large-N) model of the composite channel gain:
 Average M-PSK/M-QAM symbol error probabilities follow from the standard
 finite-range MGF integrals, evaluated by Gauss-Legendre quadrature of
 ``nodes`` points, at least 16 (the integrands are smooth and bounded).
+The asymptotic laws are one number each: :func:`waterfall_rate` (low SNR)
+and :func:`saturation_exponent` (high SNR, binary dual-hop).
 
 ``AnalyticModel.snr`` is a float or a 1-D array of linear Es/N0 values.
 The MGF broadcasts it against the quadrature nodes, so one call evaluates a
@@ -33,12 +35,10 @@ array SNR an array.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
 from .modulation import ConstellationKind
 from .schemes import Scheme
@@ -47,18 +47,15 @@ PI = np.pi
 
 __all__ = [
     "AnalyticModel",
-    "WaterfallLaw",
-    "SaturationLaw",
-    "Regime",
     "mgf",
     "log_mgf",
     "sep_mpsk",
     "sep_mqam",
     "sep_upper_bound",
-    "asymptote",
+    "waterfall_rate",
+    "saturation_exponent",
     "average_snr",
     "required_snr_db",
-    "qfunc",
     "db_to_linear",
 ]
 
@@ -70,11 +67,6 @@ def db_to_linear(db) -> float:
     bit for a few per cent of inputs.
     """
     return 10.0 ** (float(db) / 10.0)
-
-
-def qfunc(x):
-    """Gaussian tail probability Q(x) = P(Z > x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -154,10 +146,9 @@ def _gl_integral(func, a: float, b: float, nodes: int):
 
 
 def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256):
-    """Average M-ary phase-signaling SEP.
+    """Average M-PSK SEP, for dual-hop PSK and the access-point schemes.
 
     (1/pi) * Integral_0^{(M-1)pi/M} M_gamma(-sin^2(pi/M) / sin^2 eta) d eta.
-    Shared by the dual-hop PSK schemes and the AP phase books.
     """
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
@@ -171,7 +162,7 @@ def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256):
 
 def sep_mqam(model: AnalyticModel, order: int, nodes: int = 256):
     """Average square M-QAM SEP (dual-hop schemes only)."""
-    _require_qam_ok(model, order)
+    _require_qam_ok(model.scheme, order)
     c = -3.0 / (2.0 * (order - 1))
     q = 1.0 - 1.0 / np.sqrt(order)
 
@@ -183,11 +174,11 @@ def sep_mqam(model: AnalyticModel, order: int, nodes: int = 256):
     return _scalar_or_array((4.0 * q / PI) * first - (4.0 * q * q / PI) * second)
 
 
-def _require_qam_ok(model: AnalyticModel, order: int) -> None:
+def _require_qam_ok(scheme: Scheme, order: int) -> None:
     side = int(np.sqrt(order))
     if order < 4 or side * side != order:
         raise ValueError(f"QAM order must be a perfect square >= 4, got {order}")
-    if model.scheme.is_access_point:
+    if scheme.is_access_point:
         raise ValueError("QAM applies to the dual-hop schemes only")
 
 
@@ -201,10 +192,9 @@ def sep_upper_bound(
     Obtained by freezing the integrands at their maxima (eta = pi/2, and
     eta = pi/4 for the second QAM term); always dominates the exact
     integral because the integrands increase monotonically in sin^2(eta).
-    Every kind but QAM (PSK and the AP phase book) takes the phase bound.
     """
     if kind is ConstellationKind.QAM:
-        _require_qam_ok(model, order)
+        _require_qam_ok(model.scheme, order)
         q = 1.0 - 1.0 / np.sqrt(order)
         c = -3.0 / (2.0 * (order - 1))
         return _scalar_or_array(2.0 * q * mgf(model, c) - q * q * mgf(model, 2.0 * c))
@@ -213,56 +203,33 @@ def sep_upper_bound(
     return _scalar_or_array((order - 1) / order * mgf(model, -np.sin(PI / order) ** 2))
 
 
-class Regime(enum.Enum):
-    WATERFALL = "waterfall"
-    SATURATION = "saturation"
-
-
-@dataclass(frozen=True)
-class WaterfallLaw:
-    """Low-SNR proportionality log P_e ~ -decay_rate * Es/N0 + const.
+def waterfall_rate(scheme: Scheme, n: int, order: int) -> float:
+    """Decay rate c of the low-SNR law log P_e ~ -c * Es/N0 + const.
 
     Valid where v * Es/N0 << 1, v being the variance term of the exponent
     m2*snr / (1 + v*snr): v = N(16 - pi^2)/8 for DH and N(4 - pi)/2 for AP.
-    The constant is unspecified, so only the decay rate is exposed.
+    Only the intelligent schemes have the law: DH with BPSK or square QAM,
+    AP with M-PSK.  The constant is unspecified.
     """
+    if scheme is Scheme.DH_INTELLIGENT:
+        if order == 2:
+            return n * n * PI * PI / 16.0
+        _require_qam_ok(scheme, order)
+        return 3.0 * n * n * PI * PI / (32.0 * (order - 1))
+    if scheme is Scheme.AP_INTELLIGENT:
+        if order < 2:
+            raise ValueError(f"order must be >= 2, got {order}")
+        return np.sin(PI / order) ** 2 * n * n * PI / 4.0
+    raise ValueError(f"no waterfall law for {scheme.name}")
 
-    decay_rate: float
 
+def saturation_exponent(n: int) -> float:
+    """Constant exponent c of the high-SNR law P_e ~ (Es/N0)^(-1/2) * exp(c)
+    of a binary dual-hop intelligent link with n elements.
 
-@dataclass(frozen=True)
-class SaturationLaw:
-    """High-SNR behaviour P_e ~ (Es/N0)^snr_power * exp(constant_exponent).
-
-    Valid where N * Es/N0 >> 1 (dual-hop intelligent, binary only).
+    Valid where N * Es/N0 >> 1.
     """
-
-    snr_power: float
-    constant_exponent: float
-
-
-def asymptote(model: AnalyticModel, order: int, regime: Regime) -> WaterfallLaw | SaturationLaw:
-    """Asymptotic error-probability law for one scheme/order/regime."""
-    n = model.n_reflectors
-    if regime is Regime.WATERFALL:
-        if model.scheme is Scheme.DH_INTELLIGENT:
-            if order == 2:
-                return WaterfallLaw(decay_rate=n * n * PI * PI / 16.0)
-            _require_qam_ok(model, order)
-            return WaterfallLaw(decay_rate=3.0 * n * n * PI * PI / (32.0 * (order - 1)))
-        if model.scheme is Scheme.AP_INTELLIGENT:
-            if order < 2:
-                raise ValueError(f"order must be >= 2, got {order}")
-            return WaterfallLaw(decay_rate=np.sin(PI / order) ** 2 * n * n * PI / 4.0)
-        raise ValueError(f"no waterfall law for {model.scheme.name}")
-    if regime is Regime.SATURATION:
-        if model.scheme is Scheme.DH_INTELLIGENT and order == 2:
-            return SaturationLaw(
-                snr_power=-0.5,
-                constant_exponent=-n * PI * PI / (2.0 * (16.0 - PI * PI)),
-            )
-        raise ValueError("the saturation law is only available for binary dual-hop intelligent links")
-    raise ValueError(f"unknown regime: {regime!r}")
+    return -n * PI * PI / (2.0 * (16.0 - PI * PI))
 
 
 def average_snr(model: AnalyticModel) -> float:

@@ -60,7 +60,7 @@ _ANALYTIC_BLOCK = 64
 
 M_HELP = (
     "modulation order; dual-hop links use BPSK at M = 2 and square QAM above "
-    "(4, 16, 64, ...), access-point links an M-ary phase book"
+    "(4, 16, 64, ...), access-point links M-PSK"
 )
 
 __all__ = ["main", "run_figure_preset", "compare", "write_rows", "read_rows", "CsvRow"]
@@ -79,28 +79,17 @@ class CsvRow:
     stderr: float | None = None
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_rows(rows: list[CsvRow], path: Path) -> None:
+    """Write rows under CSV_HEADER: floats with 17 significant digits, None as
+    an empty field.  Scheme and metric names go unquoted: no commas or quotes."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.scheme,
-                    r.n,
-                    r.m,
-                    _fmt(r.snr_db),
-                    r.metric,
-                    _fmt(r.value),
-                    "" if r.trials is None else r.trials,
-                    "" if r.errors is None else r.errors,
-                    "" if r.stderr is None else _fmt(r.stderr),
-                ]
-            )
+        fh.write(",".join(CSV_HEADER) + "\n")
+        fh.writelines(
+            f"{r.scheme},{r.n},{r.m},{float(r.snr_db):.17g},{r.metric},{float(r.value):.17g},"
+            f"{'' if r.trials is None else r.trials},{'' if r.errors is None else r.errors},"
+            f"{'' if r.stderr is None else format(float(r.stderr), '.17g')}\n"
+            for r in rows
+        )
 
 
 def read_rows(path: Path) -> list[CsvRow]:
@@ -174,11 +163,10 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 
 def _constellation_kind(scheme: Scheme, order: int) -> ConstellationKind:
-    """AP links use the phase book; dual-hop links carry BPSK at M = 2 and
-    square QAM above (4-QAM == QPSK)."""
-    if scheme.is_access_point:
-        return ConstellationKind.AP_PHASE
-    return ConstellationKind.PSK if order == 2 else ConstellationKind.QAM
+    """PSK for AP links or M = 2, else square QAM (4-QAM == QPSK)."""
+    if scheme.is_access_point or order == 2:
+        return ConstellationKind.PSK
+    return ConstellationKind.QAM
 
 
 def _exact_sep(model: AnalyticModel, order: int, kind: ConstellationKind, nodes: int) -> float:

@@ -1,22 +1,21 @@
 """Constellations, Gray bit labels, and maximum-likelihood detection.
 
-Three constellation families are supported:
+Two constellation families are supported:
 
-* ``PSK``   — unit-circle points ``exp(2j*pi*m/M)``, Gray-labelled around
-  the circle.
-* ``QAM``   — square lattice ``{±1, ±3, ...}^2`` normalized to unit average
+* ``PSK`` — unit-circle points ``exp(2j*pi*m/M)``, Gray-labelled around
+  the circle.  The access-point schemes carry it too: their surface
+  encodes message m by rotating every element by the common phase
+  ``w_m = 2*pi*m/M``, which is M-PSK.
+* ``QAM`` — square lattice ``{±1, ±3, ...}^2`` normalized to unit average
   energy, Gray-labelled independently along each axis.
-* ``AP_PHASE`` — the phase book ``w_m = 2*pi*m/M`` used when the reflecting
-  surface itself encodes a message by rotating all elements by a common
-  phase.  Points coincide with PSK; the ``phases`` field exposes ``w_m``.
 
 :func:`detect_ml` is coherent ML detection against a known gain g.  Since
 ``|r - g*s|**2 = |g|**2 * |r/g - s|**2``, it slices ``z = r/g`` in O(1) per
 sample: square QAM rounds each axis to the nearest lattice level (clipped
-to the edge levels), PSK and AP_PHASE quantise the angle of z to M
-sectors.  Exact ties go to the lowest index: to the lower level on each
-QAM axis, to the lower of two neighbouring phases, and to 0 between M - 1
-and 0; a zero gain decides 0.
+to the edge levels), PSK quantises the angle of z to M sectors.  Exact
+ties go to the lowest index: to the lower level on each QAM axis, to the
+lower of two neighbouring phases, and to 0 between M - 1 and 0; a zero
+gain decides 0.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = ["ConstellationKind", "Constellation", "build_constellation", "detect_
 class ConstellationKind(enum.Enum):
     PSK = "psk"
     QAM = "qam"
-    AP_PHASE = "ap_phase"
 
 
 def _gray_label(index: int, width: int) -> str:
@@ -52,23 +50,17 @@ class Constellation:
     order: int
     points: np.ndarray
     bit_labels: tuple[str, ...]
-    phases: np.ndarray | None = None
-    _bit_distance: np.ndarray = field(init=False, repr=False, compare=False)
+    # Hamming distances between the bit labels of every pair of symbols.
+    bit_distance_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = np.array([[int(b) for b in label] for label in self.bit_labels], dtype=np.uint8)
-        # Hamming distances between every pair of labels, used for bit-error counting.
         table = (labels[:, None, :] != labels[None, :, :]).sum(axis=2).astype(np.int64)
-        object.__setattr__(self, "_bit_distance", table)
+        object.__setattr__(self, "bit_distance_table", table)
 
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
-
-    @property
-    def bit_distance_table(self) -> np.ndarray:
-        """Hamming distances between the bit labels of every pair of symbols."""
-        return self._bit_distance
 
 
 def build_constellation(kind: ConstellationKind, order: int) -> Constellation:
@@ -81,17 +73,10 @@ def build_constellation(kind: ConstellationKind, order: int) -> Constellation:
         raise ValueError(f"order must be a power of two >= 2, got {order}")
     bits = order.bit_length() - 1
 
-    if kind in (ConstellationKind.PSK, ConstellationKind.AP_PHASE):
-        phases = 2.0 * np.pi * np.arange(order) / order
-        points = np.exp(1j * phases)
+    if kind is ConstellationKind.PSK:
+        points = np.exp(1j * (2.0 * np.pi * np.arange(order) / order))
         labels = tuple(_gray_label(m, bits) for m in range(order))
-        return Constellation(
-            kind=kind,
-            order=order,
-            points=points,
-            bit_labels=labels,
-            phases=phases if kind is ConstellationKind.AP_PHASE else None,
-        )
+        return Constellation(kind=kind, order=order, points=points, bit_labels=labels)
 
     if kind is ConstellationKind.QAM:
         side = math.isqrt(order)

@@ -124,18 +124,27 @@ class SweepPoint:
         return self.bit_errors / (self.trials * self.bits_per_symbol)
 
     def stderr(self, metric: str = "ser") -> float:
-        """Normal-approximation standard error.  It is 0 at a zero-error point,
-        which ran to max_trials: a censored rate, not an exact one, whose upper
-        limit `confidence_interval` gives (about 3.7 / trials at 95 %)."""
-        p = self.ser if metric == "ser" else self.ber
-        n = self.trials if metric == "ser" else self.trials * self.bits_per_symbol
+        """Normal-approximation standard error of "ser" or "ber".  It is 0 at a
+        zero-error point, which ran to max_trials: a censored rate, not an exact
+        one, whose upper limit `confidence_interval` gives (about 3.7 / trials at 95 %)."""
+        errors, n = _errors_and_count(self, metric)
+        p = errors / n
         return math.sqrt(p * (1.0 - p) / n)
+
+
+def _errors_and_count(point: SweepPoint, metric: str) -> tuple[int, int]:
+    """(errors, trials) behind a point's SER, or (bit errors, bits) behind its BER."""
+    if metric == "ser":
+        return point.symbol_errors, point.trials
+    if metric == "ber":
+        return point.bit_errors, point.trials * point.bits_per_symbol
+    raise ValueError(f"metric must be 'ser' or 'ber', got {metric!r}")
 
 
 def confidence_interval(
     point: SweepPoint, level: float = 0.95, metric: str = "ser"
 ) -> tuple[float, float]:
-    """Exact (Clopper-Pearson) binomial confidence interval for the error rate.
+    """Exact (Clopper-Pearson) binomial confidence interval for "ser" or "ber".
 
     A point with zero errors gets a nonzero upper limit, about 3.7 / trials
     at the 95 % level, instead of the (0, 0) a normal approximation claims.
@@ -144,10 +153,7 @@ def confidence_interval(
 
     if point.trials <= 0:
         raise ValueError("confidence interval requires trials > 0")
-    if metric == "ser":
-        errors, n = point.symbol_errors, point.trials
-    else:
-        errors, n = point.bit_errors, point.trials * point.bits_per_symbol
+    errors, n = _errors_and_count(point, metric)
     ci = binomtest(errors, n).proportion_ci(confidence_level=level, method="exact")
     return (float(ci.low), float(ci.high))
 
@@ -188,6 +194,8 @@ def _chunk_counts(
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
         try:
@@ -197,7 +205,7 @@ def _resolve_workers(workers: int | None) -> int:
         if cap < 1:
             raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer (the worker cap), got {env!r}")
         workers = min(workers, cap)
-    return max(1, workers)
+    return workers
 
 
 def _run_point(
@@ -264,11 +272,18 @@ def _in_order(pool: ThreadPoolExecutor, workers: int, task, count: int):
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepPoint]:
     """Simulate every grid point of ``spec``; deterministic in ``spec.seed``.
 
-    ``workers`` defaults to the usable cores; RIS_LINKLAB_THREADS caps it.
+    ``workers`` (>= 1) defaults to the usable cores; RIS_LINKLAB_THREADS caps it.
     With more than one worker a single thread pool serves the whole sweep.
     """
     workers = _resolve_workers(workers)
+    # glibc hands a freed heap top back to the OS once it exceeds twice the
+    # largest block it has unmapped.  Unmapping one 4 MiB block first keeps each
+    # chunk's ~1 MB of temporaries mapped between chunks; without it a
+    # fig7_blind benchmark round took about 15 000 more minor page faults.
+    np.empty(1 << 19)
     points = enumerate(spec.snr_grid_db)
+    # Serial, not a one-worker pool: a dh_intelligent N = 64 16-QAM chunk took
+    # 15.1 ms here and 15.9 ms in a pool thread (medians, 2-core host).
     if workers == 1:
         return [_run_point(spec, i, snr_db, None, 1) for i, snr_db in points]
     with ThreadPoolExecutor(max_workers=workers) as pool:

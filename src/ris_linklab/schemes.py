@@ -10,9 +10,9 @@ channel phases and cancels them) and a "blind" variant (it does not):
   phases, leaving the cascaded gain ``H = sum(h_i * g_i)``.
 * Access-point (AP): the surface is fed an unmodulated carrier and encodes
   ``log2(M)`` bits per interval by rotating all elements by a common phase
-  ``w_m`` on top of (intelligent) or instead of (blind) channel-phase
-  cancellation.  Composite gains are ``B = sum(beta_i)`` and
-  ``G = sum(g_i)`` respectively.
+  ``w_m = 2*pi*m/M`` on top of (intelligent) or instead of (blind)
+  channel-phase cancellation, so the message is M-PSK.  Composite gains
+  are ``B = sum(beta_i)`` and ``G = sum(g_i)`` respectively.
 
 The destination is assumed to know the composite scalar gain coherently in
 all four schemes; "blind" refers to the surface's channel knowledge, not the
@@ -62,11 +62,8 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.n_reflectors < 1:
             raise ValueError(f"n_reflectors must be >= 1, got {self.n_reflectors}")
-        kind = self.constellation.kind
-        if self.scheme.is_access_point and kind is not ConstellationKind.AP_PHASE:
-            raise ValueError(f"{self.scheme.name} requires an AP_PHASE constellation, got {kind.name}")
-        if not self.scheme.is_access_point and kind is ConstellationKind.AP_PHASE:
-            raise ValueError(f"{self.scheme.name} requires a PSK or QAM constellation")
+        if self.scheme.is_access_point and self.constellation.kind is ConstellationKind.QAM:
+            raise ValueError(f"{self.scheme.name} carries M-PSK (a common phase per message), not QAM")
 
 
 def draw_gains(scheme: Scheme, n: int, rng: np.random.Generator, trials: int) -> np.ndarray:

@@ -25,6 +25,11 @@ def channel_phases(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.mod(-np.angle(h), 2.0 * np.pi), np.mod(-np.angle(g), 2.0 * np.pi)
 
 
+def message_phases(tx, order: int) -> np.ndarray:
+    """The common phase w_m = 2 pi m / M an access-point surface applies for message m."""
+    return 2.0 * np.pi * np.asarray(tx) / order
+
+
 def reflector_phases(scheme: Scheme, h: np.ndarray, g: np.ndarray, w=None) -> np.ndarray:
     """Element phases: theta + psi (DH intelligent), 0 (DH blind),
     psi + w_m (AP intelligent) and w_m (AP blind).
@@ -61,7 +66,7 @@ def received(scheme: Scheme, h, g, constellation, tx, noise) -> np.ndarray:
     so the sample is sum(g_i exp(j phi_i)).
     """
     if scheme.is_access_point:
-        phases = reflector_phases(scheme, h, g, constellation.phases[tx])
+        phases = reflector_phases(scheme, h, g, message_phases(tx, constellation.order))
         return (g * np.exp(1j * phases)).sum(axis=-1) + noise
     cascade = (h * np.exp(1j * reflector_phases(scheme, h, g)) * g).sum(axis=-1)
     return cascade * constellation.points[tx] + noise

@@ -29,15 +29,14 @@ import pytest
 
 from ris_linklab.analytic import (
     AnalyticModel,
-    asymptote,
     average_snr,
     db_to_linear,
     mgf,
-    Regime,
     required_snr_db,
     sep_mpsk,
     sep_mqam,
     sep_upper_bound,
+    waterfall_rate,
 )
 from ris_linklab.cli import compare, main, read_rows
 from ris_linklab.modulation import ConstellationKind, build_constellation
@@ -58,9 +57,7 @@ def binary_sweep(scheme, n, grid, seed, max_trials=10_000_000, min_errors=200):
     config = SchemeConfig(
         scheme=scheme,
         n_reflectors=n,
-        constellation=build_constellation(
-            ConstellationKind.AP_PHASE if scheme.is_access_point else ConstellationKind.PSK, 2
-        ),
+        constellation=build_constellation(ConstellationKind.PSK, 2),
     )
     spec = SweepSpec(
         config=config, snr_grid_db=tuple(grid), max_trials=max_trials,
@@ -176,8 +173,7 @@ def test_criterion_03_six_db_waterfall_law():
     assert abs(gap - oracle) <= 1e-3, f"gap {gap:.4f} dB, oracle {oracle:.4f} dB"
 
     law_gap = 10 * np.log10(
-        asymptote(model(Scheme.DH_INTELLIGENT, 64, 1.0), 2, Regime.WATERFALL).decay_rate
-        / asymptote(model(Scheme.DH_INTELLIGENT, 32, 1.0), 2, Regime.WATERFALL).decay_rate
+        waterfall_rate(Scheme.DH_INTELLIGENT, 64, 2) / waterfall_rate(Scheme.DH_INTELLIGENT, 32, 2)
     )
     pairs = [((Scheme.DH_INTELLIGENT, n), (Scheme.DH_INTELLIGENT, 2 * n)) for n in LAW_SWEEP_N]
     excesses, in_region = check_law_convergence(pairs, law_gap, 6.0, 0.5)
@@ -221,8 +217,7 @@ def test_criterion_05_one_db_ap_vs_dh_gap():
     assert abs(gap - oracle) <= 1e-3, f"gap {gap:.4f} dB, oracle {oracle:.4f} dB"
 
     law_gap = 10 * np.log10(
-        asymptote(model(Scheme.AP_INTELLIGENT, 64, 1.0), 2, Regime.WATERFALL).decay_rate
-        / asymptote(model(Scheme.DH_INTELLIGENT, 64, 1.0), 2, Regime.WATERFALL).decay_rate
+        waterfall_rate(Scheme.AP_INTELLIGENT, 64, 2) / waterfall_rate(Scheme.DH_INTELLIGENT, 64, 2)
     )
     pairs = [((Scheme.DH_INTELLIGENT, n), (Scheme.AP_INTELLIGENT, n)) for n in LAW_SWEEP_N]
     excesses, in_region = check_law_convergence(pairs, law_gap, 1.05, 0.3)

@@ -11,25 +11,22 @@ import pytest
 
 from ris_linklab.analytic import (
     AnalyticModel,
-    Regime,
-    SaturationLaw,
-    WaterfallLaw,
-    asymptote,
     average_snr,
     db_to_linear,
     log_mgf,
     mgf,
-    qfunc,
     required_snr_db,
+    saturation_exponent,
     sep_mpsk,
     sep_mqam,
     sep_upper_bound,
+    waterfall_rate,
 )
 from ris_linklab.modulation import ConstellationKind
 from ris_linklab.rng import RngStream
 from ris_linklab.schemes import Scheme
 
-from bench.oracles import rayleigh_mpsk_ser
+from bench.oracles import qfunc, rayleigh_mpsk_ser
 from simpson import adaptive_simpson
 
 PI = np.pi
@@ -243,51 +240,45 @@ class TestArraySnr:
 
 class TestAsymptote:
     def test_dh_binary_rate(self):
-        law = asymptote(model(Scheme.DH_INTELLIGENT, 1, 1.0), 2, Regime.WATERFALL)
-        assert isinstance(law, WaterfallLaw)
-        assert law.decay_rate == pytest.approx(PI**2 / 16)
+        assert waterfall_rate(Scheme.DH_INTELLIGENT, 1, 2) == pytest.approx(PI**2 / 16)
 
     def test_doubling_n_quadruples_rate(self):
-        r1 = asymptote(model(Scheme.DH_INTELLIGENT, 32, 1.0), 2, Regime.WATERFALL).decay_rate
-        r2 = asymptote(model(Scheme.DH_INTELLIGENT, 64, 1.0), 2, Regime.WATERFALL).decay_rate
+        r1 = waterfall_rate(Scheme.DH_INTELLIGENT, 32, 2)
+        r2 = waterfall_rate(Scheme.DH_INTELLIGENT, 64, 2)
         assert r2 / r1 == pytest.approx(4.0)
         assert 10 * np.log10(r2 / r1) == pytest.approx(6.0206, abs=1e-3)
 
     def test_ap_vs_dh_binary_ratio(self):
         """The two binary waterfall rates differ by 4/pi = 1.049 dB."""
-        dh = asymptote(model(Scheme.DH_INTELLIGENT, 64, 1.0), 2, Regime.WATERFALL).decay_rate
-        ap = asymptote(model(Scheme.AP_INTELLIGENT, 64, 1.0), 2, Regime.WATERFALL).decay_rate
+        dh = waterfall_rate(Scheme.DH_INTELLIGENT, 64, 2)
+        ap = waterfall_rate(Scheme.AP_INTELLIGENT, 64, 2)
         assert ap / dh == pytest.approx(4 / PI)
         assert 10 * np.log10(ap / dh) == pytest.approx(1.0491, abs=1e-3)
 
     def test_qam_rate(self):
-        law = asymptote(model(Scheme.DH_INTELLIGENT, 8, 1.0), 16, Regime.WATERFALL)
-        assert law.decay_rate == pytest.approx(3 * 64 * PI**2 / (32 * 15))
+        assert waterfall_rate(Scheme.DH_INTELLIGENT, 8, 16) == pytest.approx(3 * 64 * PI**2 / (32 * 15))
 
     def test_ap_mary_rate(self):
-        law = asymptote(model(Scheme.AP_INTELLIGENT, 8, 1.0), 8, Regime.WATERFALL)
-        assert law.decay_rate == pytest.approx(np.sin(PI / 8) ** 2 * 64 * PI / 4)
+        assert waterfall_rate(Scheme.AP_INTELLIGENT, 8, 8) == pytest.approx(np.sin(PI / 8) ** 2 * 64 * PI / 4)
 
-    def test_saturation_pair(self):
-        law = asymptote(model(Scheme.DH_INTELLIGENT, 16, 1.0), 2, Regime.SATURATION)
-        assert isinstance(law, SaturationLaw)
-        assert law.snr_power == -0.5
-        assert law.constant_exponent == pytest.approx(-16 * PI**2 / (2 * (16 - PI**2)))
+    def test_saturation_exponent(self):
+        assert saturation_exponent(16) == pytest.approx(-16 * PI**2 / (2 * (16 - PI**2)))
 
-    def test_regime_scheme_mismatch(self):
-        with pytest.raises(ValueError):
-            asymptote(model(Scheme.DH_BLIND, 16, 1.0), 2, Regime.WATERFALL)
-        with pytest.raises(ValueError):
-            asymptote(model(Scheme.AP_INTELLIGENT, 16, 1.0), 2, Regime.SATURATION)
-        with pytest.raises(ValueError, match="unknown regime"):  # only members select a law
-            asymptote(model(Scheme.DH_INTELLIGENT, 16, 1.0), 2, Regime.WATERFALL.value)
+    def test_rejects_scheme_and_order(self):
+        for scheme in (Scheme.DH_BLIND, Scheme.AP_BLIND):
+            with pytest.raises(ValueError, match="no waterfall law"):
+                waterfall_rate(scheme, 16, 2)
+        with pytest.raises(ValueError, match="perfect square"):
+            waterfall_rate(Scheme.DH_INTELLIGENT, 16, 8)
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            waterfall_rate(Scheme.AP_INTELLIGENT, 16, 1)
 
 
 class TestRegimeFit:
     def test_waterfall_slope_recovered(self):
         """ln(bound) vs snr regression over a low-SNR window matches -decay_rate."""
         n = 64
-        rate = asymptote(model(Scheme.DH_INTELLIGENT, n, 1.0), 2, Regime.WATERFALL).decay_rate
+        rate = waterfall_rate(Scheme.DH_INTELLIGENT, n, 2)
         dbs = np.arange(-50, -40)  # N*snr < 0.1 throughout
         snrs = np.array([db_to_linear(d) for d in dbs])
         logs = [np.log(sep_upper_bound(model(Scheme.DH_INTELLIGENT, n, s), 2)) for s in snrs]

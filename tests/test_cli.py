@@ -3,6 +3,7 @@ README's library sketch."""
 
 import csv
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,32 @@ class TestCsvSchema:
             expected.append(CsvRow(scheme.value, 64, 16, db, "sep_exact", _exact_sep(point, 16, kind, 256)))
             expected.append(CsvRow(scheme.value, 64, 16, db, "sep_bound", sep_upper_bound(point, 16, kind)))
         assert analytic_rows(scheme, 64, 16, grid, include_bound=True) == expected
+
+    def test_writer_bytes_match_csv_module(self, tmp_path):
+        """write_rows writes the bytes of a csv.writer reference, on awkward values too."""
+        rows = analytic_rows(Scheme.AP_BLIND, 4, 16, [-1.5, 0.0], include_bound=True)
+        rows += simulation_rows(Scheme.DH_BLIND, 2, 4, [0.0], seed=1, max_trials=10_000, min_errors=50)
+        rows += [
+            CsvRow("dh_blind", 4, 2, -0.0, "sep_exact", 5e-324),  # -0.0, a subnormal, None columns
+            CsvRow("ap_intelligent", 10**20, 2, 10**20, "ber", np.float32(0.1), 10**20, 3, np.float32(2.5e-3)),
+            CsvRow("dh_intelligent", np.int64(8), 4, -7.25, "ser", 0.0, 10_000, 0, 0.0),
+        ]
+        reference = tmp_path / "reference.csv"
+        fmt = lambda x: format(float(x), ".17g")
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            for r in rows:
+                writer.writerow([
+                    r.scheme, r.n, r.m, fmt(r.snr_db), r.metric, fmt(r.value),
+                    "" if r.trials is None else r.trials,
+                    "" if r.errors is None else r.errors,
+                    "" if r.stderr is None else fmt(r.stderr),
+                ])
+        out = tmp_path / "rows.csv"
+        write_rows(rows, out)
+        assert out.read_bytes() == reference.read_bytes()
+        assert b",-0,sep_exact,4.9406564584124654e-324,,,\n" in out.read_bytes()
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
@@ -379,3 +406,19 @@ def test_readme_library_sketch_runs():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (sketch,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     exec(compile(sketch, "README.md", "exec"), {})
+
+
+def test_public_api_is_pinned():
+    """The package's public names; widening them has to be deliberate."""
+    import ris_linklab
+
+    public = sorted(
+        name for name, value in vars(ris_linklab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == [
+        "AnalyticModel", "Constellation", "ConstellationKind", "Scheme", "SchemeConfig", "SweepPoint",
+        "SweepSpec", "average_snr", "build_constellation", "confidence_interval", "db_to_linear", "detect_ml",
+        "mgf", "required_snr_db", "run_sweep", "saturation_exponent", "sep_mpsk", "sep_mqam",
+        "sep_upper_bound", "waterfall_rate",
+    ]

@@ -18,12 +18,10 @@ ALL_KINDS_AND_ORDERS = [
     (ConstellationKind.PSK, 2),
     (ConstellationKind.PSK, 4),
     (ConstellationKind.PSK, 8),
+    (ConstellationKind.PSK, 16),
     (ConstellationKind.QAM, 4),
     (ConstellationKind.QAM, 16),
     (ConstellationKind.QAM, 64),
-    (ConstellationKind.AP_PHASE, 2),
-    (ConstellationKind.AP_PHASE, 4),
-    (ConstellationKind.AP_PHASE, 16),
 ]
 
 # Every valid order in {2, 4, 16, 64} of each kind (square QAM starts at 4).
@@ -41,8 +39,9 @@ class TestConstruction:
         np.testing.assert_allclose(c.points, [1.0, -1.0], atol=1e-15)
 
     def test_ap4_phases(self):
-        c = build_constellation(ConstellationKind.AP_PHASE, 4)
-        np.testing.assert_allclose(c.phases, [0, np.pi / 2, np.pi, 3 * np.pi / 2])
+        """The access-point phase book w_m = 2 pi m / M is 4-PSK."""
+        c = build_constellation(ConstellationKind.PSK, 4)
+        np.testing.assert_allclose(np.angle(c.points), [0, np.pi / 2, np.pi, -np.pi / 2])
 
     def test_16qam_lattice(self):
         c = build_constellation(ConstellationKind.QAM, 16)
@@ -67,7 +66,7 @@ class TestConstruction:
             (ConstellationKind.QAM, 32),
             (ConstellationKind.PSK, 3),
             (ConstellationKind.PSK, 1),
-            (ConstellationKind.AP_PHASE, 0),
+            (ConstellationKind.PSK, 0),
         ],
     )
     def test_rejects_invalid_orders(self, kind, order):
@@ -112,7 +111,7 @@ class TestDetection:
         assert np.array_equal(detect_ml([0.9, -0.2 + 3j, -1.1], [1.0, 1.0, 1.0], c), [0, 1, 1])
 
     def test_noiseless_ap_identity(self):
-        c = build_constellation(ConstellationKind.AP_PHASE, 4)
+        c = build_constellation(ConstellationKind.PSK, 4)
         gain = np.sqrt(2.5) * 7.3
         assert detect_ml(gain * np.exp(1j * np.pi), gain, c) == 2  # w = pi
 
@@ -212,17 +211,16 @@ class TestSlicerTies:
         c = build_constellation(ConstellationKind.PSK, 2)
         assert np.array_equal(detect_ml([1j, -1j], 1.0, c), [0, 0])
 
-    @pytest.mark.parametrize("kind", [ConstellationKind.PSK, ConstellationKind.AP_PHASE])
-    def test_qpsk_boundaries(self, kind):
+    def test_qpsk_boundaries(self):
         """The diagonals: each goes to the lower of its two points, and the
         wrap tie between 3 and 0 goes to 0."""
-        c = build_constellation(kind, 4)
+        c = build_constellation(ConstellationKind.PSK, 4)
         assert np.array_equal(detect_ml([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 1.0, c), [0, 1, 2, 0])
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_wrap_tie_goes_to_zero(self, order):
         """Halfway between M - 1 and 0 (angle -pi/M) decides 0, for any gain phase."""
-        c = build_constellation(ConstellationKind.AP_PHASE, order)
+        c = build_constellation(ConstellationKind.PSK, order)
         z = -1j if order == 2 else 1 - 1j
         gains = np.array([1.0, -1.0, 1j, -1j])  # rotations by multiples of pi/2 are exact
         assert np.array_equal(detect_ml(z * gains, gains, c), [0, 0, 0, 0])

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import k0
 from scipy.stats import beta
 
-from ris_linklab.analytic import AnalyticModel, db_to_linear, qfunc, sep_mpsk
+from ris_linklab.analytic import AnalyticModel, db_to_linear, sep_mpsk
 from ris_linklab.modulation import ConstellationKind, build_constellation, detect_ml
 from ris_linklab.montecarlo import (
     WORKERS_ENV_VAR,
@@ -24,14 +24,12 @@ from ris_linklab.rng import RngStream, standard_complex_normal
 from ris_linklab.schemes import Scheme, SchemeConfig
 
 import per_element
+from bench.oracles import qfunc
 
 
 def make_spec(scheme, n, grid, order=2, **kwargs):
-    if scheme.is_access_point:
-        const = build_constellation(ConstellationKind.AP_PHASE, order)
-    else:
-        kind = ConstellationKind.PSK if order == 2 else ConstellationKind.QAM
-        const = build_constellation(kind, order)
+    kind = ConstellationKind.PSK if scheme.is_access_point or order == 2 else ConstellationKind.QAM
+    const = build_constellation(kind, order)
     config = SchemeConfig(scheme=scheme, n_reflectors=n, constellation=const)
     return SweepSpec(config=config, snr_grid_db=tuple(grid), **kwargs)
 
@@ -76,6 +74,12 @@ class TestDeterminism:
             monkeypatch.setenv(WORKERS_ENV_VAR, env)
         assert _resolve_workers(None) == expected
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_worker_counts_below_one(self, workers):
+        spec = make_spec(Scheme.DH_BLIND, 2, [0.0], max_trials=10_000, seed=5)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_sweep(spec, workers=workers)
+
     def test_seed_changes_results(self):
         grid = [0.0]
         a = run_sweep(make_spec(Scheme.DH_BLIND, 2, grid, max_trials=20_000, min_errors=5000, seed=1))
@@ -88,7 +92,7 @@ def small_specs(draw):
     """Small sweeps of every scheme and valid order, budgets of 1-3 chunks."""
     scheme = draw(st.sampled_from(list(Scheme)))
     if scheme.is_access_point:
-        kind, order = ConstellationKind.AP_PHASE, draw(st.sampled_from([2, 4, 8, 16, 64]))
+        kind, order = ConstellationKind.PSK, draw(st.sampled_from([2, 4, 8, 16, 64]))
     else:
         kind, order = draw(st.sampled_from([
             (ConstellationKind.PSK, 2), (ConstellationKind.PSK, 8),
@@ -333,6 +337,19 @@ class TestConfidenceInterval:
         point = SweepPoint(0.0, 100, 100, 100)
         _, hi = confidence_interval(point)
         assert hi == 1.0
+
+    def test_metric_selects_the_counts(self):
+        """SER uses (symbol errors, trials), BER (bit errors, bits); any other name is an error."""
+        point = SweepPoint(0.0, 100, 10, 3, 2)
+        assert confidence_interval(point, metric="ser") == pytest.approx((0.04900, 0.17622), abs=1e-5)
+        assert confidence_interval(point, metric="ber") == pytest.approx((0.00310, 0.04321), abs=1e-5)
+        assert point.stderr("ser") == np.sqrt(0.1 * 0.9 / 100)
+        assert point.stderr("ber") == np.sqrt(0.015 * 0.985 / 200)
+        for metric in ("SER", "bogus"):
+            with pytest.raises(ValueError, match="metric must be 'ser' or 'ber'"):
+                confidence_interval(point, metric=metric)
+            with pytest.raises(ValueError, match="metric must be 'ser' or 'ber'"):
+                point.stderr(metric)
 
 
 class TestSpecValidation:

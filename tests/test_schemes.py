@@ -11,7 +11,8 @@ from ris_linklab.schemes import Scheme, SchemeConfig, draw_gains
 import per_element
 
 BPSK = build_constellation(ConstellationKind.PSK, 2)
-AP4 = build_constellation(ConstellationKind.AP_PHASE, 4)
+AP4 = build_constellation(ConstellationKind.PSK, 4)
+W4 = per_element.message_phases(np.arange(4), 4)
 
 
 def sample(n: int, seed: int):
@@ -30,7 +31,7 @@ class TestReflectorPhases:
 
     def test_ap_intelligent_zero_message(self):
         h, g = sample(8, 2)
-        phases = per_element.reflector_phases(Scheme.AP_INTELLIGENT, h, g, AP4.phases[[0]])
+        phases = per_element.reflector_phases(Scheme.AP_INTELLIGENT, h, g, W4[[0]])
         np.testing.assert_allclose(phases, per_element.channel_phases(h, g)[1])
 
     def test_dh_intelligent_zero_channel_phases(self):
@@ -38,8 +39,8 @@ class TestReflectorPhases:
         np.testing.assert_allclose(phases, 0.0)
 
     def test_ap_blind_common_phase(self):
-        phases = per_element.reflector_phases(Scheme.AP_BLIND, *sample(5, 3), AP4.phases[[2]])
-        np.testing.assert_allclose(phases, AP4.phases[2])
+        phases = per_element.reflector_phases(Scheme.AP_BLIND, *sample(5, 3), W4[[2]])
+        np.testing.assert_allclose(phases, W4[2])
 
 
 def link(scheme, h, g, tx, noise=0j):
@@ -68,7 +69,7 @@ class TestTransmit:
         for m in range(4):
             received, _ = link(Scheme.AP_INTELLIGENT, h, g, m)
             np.testing.assert_allclose(
-                received / abs(received), np.exp(1j * AP4.phases[m]), atol=1e-12
+                received / abs(received), np.exp(1j * W4[m]), atol=1e-12
             )
 
     def test_dh_blind_is_cascade(self):
@@ -83,13 +84,14 @@ class TestTransmit:
         received, gain = link(Scheme.AP_BLIND, h, g, 3)
         g_sum = np.sum(g)
         assert gain[0] == pytest.approx(g_sum)
-        assert received[0] == pytest.approx(g_sum * np.exp(1j * AP4.phases[3]))
+        assert received[0] == pytest.approx(g_sum * np.exp(1j * W4[3]))
 
     def test_scheme_constellation_mismatch(self):
-        with pytest.raises(ValueError):
-            SchemeConfig(Scheme.AP_BLIND, 4, BPSK)
-        with pytest.raises(ValueError):
-            SchemeConfig(Scheme.DH_BLIND, 4, AP4)
+        """Access-point links carry M-PSK, so they reject QAM."""
+        qam = build_constellation(ConstellationKind.QAM, 16)
+        for scheme in (Scheme.AP_BLIND, Scheme.AP_INTELLIGENT):
+            with pytest.raises(ValueError, match="not QAM"):
+                SchemeConfig(scheme, 4, qam)
 
 
 class TestPhaseAlignmentOptimality:
