@@ -24,12 +24,12 @@ ALL_KINDS_AND_ORDERS = [
     (ConstellationKind.QAM, 64),
 ]
 
-# Every valid order in {2, 4, 16, 64} of each kind (square QAM starts at 4).
+# Every valid order in {2, 4, 8, 16, 32, 64} of each kind (QAM needs a square order).
 SLICER_CASES = [
     (kind, order)
     for kind in ConstellationKind
-    for order in (2, 4, 16, 64)
-    if not (kind is ConstellationKind.QAM and order == 2)
+    for order in (2, 4, 8, 16, 32, 64)
+    if kind is ConstellationKind.PSK or order in (4, 16, 64)
 ]
 
 
@@ -54,7 +54,7 @@ class TestConstruction:
         c = build_constellation(kind, order)
         assert abs(np.mean(np.abs(c.points) ** 2) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("order", [2, 4, 8, 16])
+    @pytest.mark.parametrize("order", [2, 4, 8, 16, 32, 64])
     def test_psk_on_unit_circle(self, order):
         c = build_constellation(ConstellationKind.PSK, order)
         np.testing.assert_allclose(np.abs(c.points), 1.0, atol=1e-12)

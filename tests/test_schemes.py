@@ -86,6 +86,19 @@ class TestTransmit:
         assert gain[0] == pytest.approx(g_sum)
         assert received[0] == pytest.approx(g_sum * np.exp(1j * W4[3]))
 
+    @pytest.mark.parametrize("order", [2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("scheme", [Scheme.AP_BLIND, Scheme.AP_INTELLIGENT])
+    def test_ap_phase_book_is_psk(self, scheme, order):
+        """The common phase w_m = 2 pi m / M reaches the receiver as the gain times
+        PSK point m of the link's constellation, and noiseless detection returns m."""
+        const = SchemeConfig(scheme, 8, build_constellation(ConstellationKind.PSK, order)).constellation
+        h, g = per_element.channel(8, RngStream(order).generator(), order)  # one trial per message
+        tx = np.arange(order)
+        received = per_element.received(scheme, h, g, const, tx, 0j)
+        gain = per_element.gain(scheme, h, g)
+        np.testing.assert_allclose(received, gain * const.points[tx], rtol=1e-12, atol=1e-12)
+        assert np.array_equal(detect_ml(received, gain, const), tx)
+
     def test_scheme_constellation_mismatch(self):
         """Access-point links carry M-PSK, so they reject QAM."""
         qam = build_constellation(ConstellationKind.QAM, 16)
