@@ -69,6 +69,11 @@ def db_to_linear(db) -> float:
     return 10.0 ** (float(db) / 10.0)
 
 
+def _require_surface(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n_reflectors must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class AnalyticModel:
     """MGF parameterization of (scheme, N) at one snr or a 1-D array of them."""
@@ -78,8 +83,7 @@ class AnalyticModel:
     snr: float | np.ndarray  # linear Es/N0
 
     def __post_init__(self) -> None:
-        if self.n_reflectors < 1:
-            raise ValueError(f"n_reflectors must be >= 1, got {self.n_reflectors}")
+        _require_surface(self.n_reflectors)
         snr = np.array(self.snr, dtype=float)
         if snr.ndim > 1:
             raise ValueError(f"snr must be a float or a 1-D array, got shape {snr.shape}")
@@ -133,16 +137,15 @@ def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _gl_integral(func, a: float, b: float, nodes: int):
     """Integral of func over [a, b], for each row of func's (..., nodes) values.
 
-    Each row is reduced by its own ``np.dot``: a matrix product sums in
-    another order, and its last bits differ from the one-point result.
+    ``np.vecdot`` reduces each row with the same dot kernel as a one-row
+    ``np.dot``, so a block's values equal the one-point results bit for bit;
+    a matrix product sums in another order and differs in the last bits.
     """
     if nodes < 16:
         raise ValueError(f"nodes must be >= 16, got {nodes}")
     x, w = _leggauss(nodes)
     half = 0.5 * (b - a)
-    values = func(half * x + 0.5 * (a + b))
-    sums = np.array([np.dot(w, row) for row in values.reshape(-1, nodes)])
-    return half * sums.reshape(values.shape[:-1])
+    return half * np.vecdot(func(half * x + 0.5 * (a + b)), w)
 
 
 def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256):
@@ -211,6 +214,7 @@ def waterfall_rate(scheme: Scheme, n: int, order: int) -> float:
     Only the intelligent schemes have the law: DH with BPSK or square QAM,
     AP with M-PSK.  The constant is unspecified.
     """
+    _require_surface(n)
     if scheme is Scheme.DH_INTELLIGENT:
         if order == 2:
             return n * n * PI * PI / 16.0
@@ -229,6 +233,7 @@ def saturation_exponent(n: int) -> float:
 
     Valid where N * Es/N0 >> 1.
     """
+    _require_surface(n)
     return -n * PI * PI / (2.0 * (16.0 - PI * PI))
 
 

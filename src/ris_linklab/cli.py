@@ -66,7 +66,7 @@ M_HELP = (
 __all__ = ["main", "run_figure_preset", "compare", "write_rows", "read_rows", "CsvRow"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CsvRow:
     scheme: str
     n: int
@@ -84,11 +84,27 @@ def write_rows(rows: list[CsvRow], path: Path) -> None:
     an empty field.  Scheme and metric names go unquoted: no commas or quotes."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        fh.writelines(
-            f"{r.scheme},{r.n},{r.m},{float(r.snr_db):.17g},{r.metric},{float(r.value):.17g},"
+        fh.writelines(_lines(rows))
+
+
+def _lines(rows):
+    """One CSV line per row, streamed.  A series' ``scheme,N,M,`` prefix is
+    formatted when its objects change (identity, not equality: 16 == 16.0
+    but they print differently), and each nonzero SNR's text once per file."""
+    scheme = n = m = prefix = None
+    snr_text = {}
+    for r in rows:
+        if r.scheme is not scheme or r.n is not n or r.m is not m:
+            scheme, n, m = r.scheme, r.n, r.m
+            prefix = f"{scheme},{n},{m},"
+        if not r.snr_db:  # 0.0 == -0.0 as dict keys, but they print as 0 and -0
+            snr = format(float(r.snr_db), ".17g")
+        elif (snr := snr_text.get(r.snr_db)) is None:
+            snr = snr_text[r.snr_db] = format(float(r.snr_db), ".17g")
+        yield (
+            f"{prefix}{snr},{r.metric},{float(r.value):.17g},"
             f"{'' if r.trials is None else r.trials},{'' if r.errors is None else r.errors},"
             f"{'' if r.stderr is None else format(float(r.stderr), '.17g')}\n"
-            for r in rows
         )
 
 

@@ -11,6 +11,8 @@ import pytest
 
 from ris_linklab.analytic import (
     AnalyticModel,
+    _gl_integral,
+    _leggauss,
     average_snr,
     db_to_linear,
     log_mgf,
@@ -238,6 +240,32 @@ class TestArraySnr:
             m.snr[0] = np.nan
 
 
+class TestGlReduction:
+    """_gl_integral reduces each row exactly as a one-row np.dot(w, row)."""
+
+    NODES = 256
+
+    def rows(self, count):
+        gen = RngStream(seed=11, stream_id=count).generator()
+        mantissa = gen.uniform(0.5, 1.0, size=(count, self.NODES))
+        return mantissa * 10.0 ** gen.integers(-300, 301, size=(count, self.NODES))
+
+    @pytest.mark.parametrize("count", [1, 2, 37, 64])
+    def test_block_equals_per_row_dot_bitwise(self, count):
+        values = self.rows(count)
+        _, w = _leggauss(self.NODES)
+        got = _gl_integral(lambda x: values, -1.0, 1.0, self.NODES)  # half-width 1
+        assert got.shape == (count,)
+        assert got.tobytes() == np.array([np.dot(w, row) for row in values]).tobytes()
+
+    def test_one_point_is_a_scalar_dot(self):
+        values = self.rows(1)[0]
+        _, w = _leggauss(self.NODES)
+        got = _gl_integral(lambda x: values, -1.0, 1.0, self.NODES)
+        assert np.ndim(got) == 0
+        assert float(got) == float(np.dot(w, values))
+
+
 class TestAsymptote:
     def test_dh_binary_rate(self):
         assert waterfall_rate(Scheme.DH_INTELLIGENT, 1, 2) == pytest.approx(PI**2 / 16)
@@ -272,6 +300,14 @@ class TestAsymptote:
             waterfall_rate(Scheme.DH_INTELLIGENT, 16, 8)
         with pytest.raises(ValueError, match="order must be >= 2"):
             waterfall_rate(Scheme.AP_INTELLIGENT, 16, 1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_surface(self, n):
+        for scheme in (Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT):
+            with pytest.raises(ValueError, match=f"n_reflectors must be >= 1, got {n}"):
+                waterfall_rate(scheme, n, 2)
+        with pytest.raises(ValueError, match=f"n_reflectors must be >= 1, got {n}"):
+            saturation_exponent(n)
 
 
 class TestRegimeFit:

@@ -27,6 +27,22 @@ from ris_linklab.cli import (
 from ris_linklab.schemes import Scheme
 
 
+def csv_module_bytes(rows, path: Path) -> bytes:
+    """The bytes a csv.writer writes for rows: the reference for write_rows."""
+    fmt = lambda x: format(float(x), ".17g")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for r in rows:
+            writer.writerow([
+                r.scheme, r.n, r.m, fmt(r.snr_db), r.metric, fmt(r.value),
+                "" if r.trials is None else r.trials,
+                "" if r.errors is None else r.errors,
+                "" if r.stderr is None else fmt(r.stderr),
+            ])
+    return path.read_bytes()
+
+
 class TestCsvSchema:
     def test_header_and_roundtrip(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -75,23 +91,25 @@ class TestCsvSchema:
             CsvRow("dh_blind", 4, 2, -0.0, "sep_exact", 5e-324),  # -0.0, a subnormal, None columns
             CsvRow("ap_intelligent", 10**20, 2, 10**20, "ber", np.float32(0.1), 10**20, 3, np.float32(2.5e-3)),
             CsvRow("dh_intelligent", np.int64(8), 4, -7.25, "ser", 0.0, 10_000, 0, 0.0),
+            CsvRow("dh_intelligent", 8.0, 4, -7.25, "ser", 0.0, 10_000, 0, 0.0),  # == 8, prints 8.0
         ]
-        reference = tmp_path / "reference.csv"
-        fmt = lambda x: format(float(x), ".17g")
-        with open(reference, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for r in rows:
-                writer.writerow([
-                    r.scheme, r.n, r.m, fmt(r.snr_db), r.metric, fmt(r.value),
-                    "" if r.trials is None else r.trials,
-                    "" if r.errors is None else r.errors,
-                    "" if r.stderr is None else fmt(r.stderr),
-                ])
         out = tmp_path / "rows.csv"
         write_rows(rows, out)
-        assert out.read_bytes() == reference.read_bytes()
+        assert out.read_bytes() == csv_module_bytes(rows, tmp_path / "reference.csv")
         assert b",-0,sep_exact,4.9406564584124654e-324,,,\n" in out.read_bytes()
+
+    def test_signed_zero_snr_keeps_its_sign(self, tmp_path):
+        """0.0 == -0.0, so a cache keyed by SNR value could print one as the
+        other: adjacent zeros of both signs, in both orders and in two series."""
+        rows = []
+        for scheme, first, second in (("dh_blind", -0.0, 0.0), ("ap_blind", 0.0, -0.0)):
+            for snr in (first, second, first, second):
+                rows.append(CsvRow(scheme, 4, 2, snr, "sep_exact", 0.25))
+        out = tmp_path / "zeros.csv"
+        write_rows(rows, out)
+        assert out.read_bytes() == csv_module_bytes(rows, tmp_path / "reference.csv")
+        snr_column = [line.split(",")[3] for line in out.read_text().splitlines()[1:]]
+        assert snr_column == ["-0", "0", "-0", "0", "0", "-0", "0", "-0"]
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
