@@ -35,6 +35,8 @@ array SNR an array.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -257,22 +259,85 @@ def required_snr_db(
     """Invert a monotone error-rate curve: the Es/N0 (dB) where it crosses target.
 
     ``curve`` maps linear snr -> probability and must be decreasing in snr.
-    Raises ValueError when the target is outside the curve's range on
-    [lo_db, hi_db].
+    The crossing is found by :func:`_brent` on log(curve) - log(target) and
+    is a float, also when an int ``lo_db`` or ``hi_db`` is itself the
+    crossing.  Raises ValueError when the target is outside the
+    curve's range on [lo_db, hi_db], and ArithmeticError when the curve
+    gives NaN or the root is not found in 100 iterations.
     """
-    from scipy.optimize import brentq
-
     if not 0.0 < target < 1.0:
         raise ValueError(f"target rate must be in (0, 1), got {target}")
 
     def gap(db: float) -> float:
+        p = float(curve(db_to_linear(db)))
+        if math.isnan(p):
+            raise ArithmeticError(f"error-rate curve is NaN at {db} dB")
         # Clamp so underflowed probabilities keep the bracket finite.
-        p = max(float(curve(db_to_linear(db))), 1e-300)
-        return np.log(p) - np.log(target)
+        return np.log(max(p, 1e-300)) - np.log(target)
 
     g_lo, g_hi = gap(lo_db), gap(hi_db)
     if not (g_lo > 0 >= g_hi or g_lo >= 0 > g_hi):
         raise ValueError(
             f"target {target} not bracketed by curve on [{lo_db}, {hi_db}] dB"
         )
-    return float(brentq(gap, lo_db, hi_db, xtol=1e-9))
+    return _brent(gap, lo_db, hi_db)
+
+
+def _brent(f, xa, xb) -> float:
+    """A root of f in [xa, xb], whose ends f must give opposite signs or a zero.
+
+    A line-for-line port of scipy's ``brentq`` C routine at xtol = 1e-9,
+    its default rtol = 4 eps and maxiter = 100: the same double operations
+    in the same order, so it returns ``brentq(f, xa, xb, xtol=1e-9)`` bit
+    for bit after as many evaluations of f, without importing scipy.
+    Python floats are C doubles, except that a division by zero raises; C's
+    infinite or NaN step there fails the step test and bisects.  Raises
+    ArithmeticError after 100 iterations (scipy: RuntimeError).
+    """
+    xtol, rtol, maxiter = 1e-9, 4 * sys.float_info.epsilon, 100
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise ArithmeticError(f"no root found in {maxiter} iterations; last estimate {xcur}")

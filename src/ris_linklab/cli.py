@@ -20,6 +20,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,7 @@ def _add_common(p: argparse.ArgumentParser, default_range) -> None:
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
 
 
+@cache  # built by the first main call; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ris-linklab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -378,8 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command in ("analytic", "simulate"):
             grid = _snr_grid(args.snr_start_db, args.snr_stop_db, args.snr_step_db)

@@ -6,11 +6,15 @@ the closed-form expressions (see the stable_* helpers below), independent
 of the production Gauss-Legendre path.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ris_linklab.analytic import (
     AnalyticModel,
+    _brent,
     _gl_integral,
     _leggauss,
     average_snr,
@@ -429,6 +433,105 @@ class TestRequiredSnr:
         curve = lambda snr: sep_mpsk(model(Scheme.DH_BLIND, 4, snr), 2)
         with pytest.raises(ValueError):
             required_snr_db(curve, 1e-30, lo_db=-10, hi_db=10)
+
+    def test_float_when_an_int_end_is_the_crossing(self):
+        target = 1e-3
+        curve = lambda snr: target * db_to_linear(-10) / snr  # target at exactly -10 dB
+        db = required_snr_db(curve, target, lo_db=-10, hi_db=10)
+        assert type(db) is float and db == -10.0
+
+    def test_nan_curve_is_a_numerical_failure(self):
+        curve = lambda snr: 1e-3 if snr < 1.0 else math.nan
+        with pytest.raises(ArithmeticError, match="NaN"):
+            required_snr_db(curve, 1e-2)
+
+    def test_non_convergence_is_a_numerical_failure(self):
+        """A flat triple root defeats Brent's method within 100 iterations,
+        in scipy's brentq and in the port alike."""
+        cubic = lambda x: -((x - 0.3) ** 3)
+        assert not brentq(cubic, -80.0, 60.0, xtol=1e-9, full_output=True, disp=False)[1].converged
+        with pytest.raises(ArithmeticError, match="100 iterations"):
+            _brent(cubic, -80, 60)
+
+
+def sep_curve(scheme, n, order):
+    if order > 2 and not scheme.is_access_point:
+        return lambda snr: sep_mqam(model(scheme, n, snr), order)
+    return lambda snr: sep_mpsk(model(scheme, n, snr), order)
+
+
+def counted(f):
+    """f, counting its calls in the returned list's one element."""
+    calls = [0]
+
+    def wrapper(x):
+        calls[0] += 1
+        return f(x)
+
+    return wrapper, calls
+
+
+# The curves compare inverts: the criterion-3 (dh_intelligent N vs 2N) and
+# criterion-5 (dh_intelligent vs ap_intelligent at N) ladders for
+# N = 32 ... 512 at 1e-5, blind curves, and M = 4 and 16.
+PINNED_CURVES = (
+    [(Scheme.DH_INTELLIGENT, 32 << k, 2, 1e-5) for k in range(6)]
+    + [(Scheme.AP_INTELLIGENT, 32 << k, 2, 1e-5) for k in range(5)]
+    + [(s, n, 2, 1e-3) for s in (Scheme.DH_BLIND, Scheme.AP_BLIND) for n in (4, 16, 64)]
+    + [(s, 64, m, t) for s in (Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT) for m in (4, 16) for t in (1e-2, 1e-5)]
+)
+
+
+class TestBrentPort:
+    """_brent is scipy's brentq C routine in Python: same root, bit for bit,
+    after the same number of evaluations."""
+
+    @pytest.mark.parametrize("scheme, n, order, target", PINNED_CURVES)
+    def test_required_snr_matches_scipy(self, scheme, n, order, target):
+        curve, calls = counted(sep_curve(scheme, n, order))
+        got = required_snr_db(curve, target)
+
+        def gap(db):  # required_snr_db's gap, for scipy
+            p = max(float(curve(db_to_linear(db))), 1e-300)
+            return np.log(p) - np.log(target)
+
+        ours, calls[0] = calls[0], 0
+        gap(-80.0), gap(60.0)  # required_snr_db's bracket check
+        want, info = brentq(gap, -80.0, 60.0, xtol=1e-9, full_output=True)
+        assert got.hex() == want.hex()
+        assert ours == calls[0] == 2 + info.function_calls
+
+    def test_synthetic_brackets_match_scipy(self):
+        """Odd powers and sigmoids around random roots.  Half the cases are
+        scaled by 1e-160, so that the extrapolation's denominator underflows
+        to 0, where C takes an infinite step and the port a ZeroDivisionError."""
+        rng = np.random.default_rng(20191)
+        outcomes = []
+        for case in range(400):
+            r, scale = rng.uniform(-20, 20), rng.uniform(0.05, 5.0)
+            shape, s = case % 4, scale * (1e-160 if case % 8 < 4 else 1.0)
+            if shape == 0:  # odd power: flat multiple roots at 3 and 5
+                k = (1, 3, 5)[rng.integers(3)]
+                f = lambda x, r=r, s=s, k=k: -s * (x - r) ** k
+            elif shape == 1:
+                f = lambda x, r=r, s=s, a=scale: s * math.tanh(a * (x - r))
+            elif shape == 2:
+                f = lambda x, r=r, s=s, a=scale: s * math.expm1(a * (r - x))
+            else:  # a cubic with a slope c at its root
+                c = 10.0 ** rng.uniform(-8, 1)
+                f = lambda x, r=r, s=s, c=c: s * (x - r) * ((x - r) ** 2 + c)
+            span = min(100.0, 100.0 / scale)
+            lo, hi = r - rng.uniform(1e-3, 1.0) * span, r + rng.uniform(1e-3, 1.0) * span
+            want, info = brentq(f, lo, hi, xtol=1e-9, full_output=True, disp=False)
+            g, calls = counted(f)
+            if info.converged:
+                assert _brent(g, lo, hi).hex() == want.hex(), case
+            else:
+                with pytest.raises(ArithmeticError):
+                    _brent(g, lo, hi)
+            assert calls[0] == info.function_calls, case
+            outcomes.append(info.converged)
+        assert 0 < outcomes.count(False) < len(outcomes)
 
 
 class TestQfunc:

@@ -2,7 +2,10 @@
 README's library sketch."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from ris_linklab.cli import (
     _ANALYTIC_BLOCK,
     CSV_HEADER,
     CsvRow,
+    _build_parser,
     _constellation_kind,
     _exact_sep,
     analytic_rows,
@@ -417,6 +421,62 @@ class TestMainEntry:
         monkeypatch.setattr(cli_mod, "run_figure_preset", broken_preset)
         rc = main(["figure", "fig2", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_non_converging_inversion_exits_two(self, monkeypatch, capsys):
+        """The root finder giving up is a numerical failure, not a traceback."""
+        import ris_linklab.cli as cli_mod
+        from ris_linklab.analytic import _brent
+
+        flat_root = lambda curve, target: _brent(lambda db: -((db - 0.3) ** 3), -80, 60)
+        monkeypatch.setattr(cli_mod, "required_snr_db", flat_root)
+        rc = main(["compare", "--scheme-a", "dh_blind", "--scheme-b", "ap_blind", "--n-a", "16",
+                   "--target", "1e-3"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("numerical failure: no root found in 100 iterations")
+
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        """main builds its parser once; no call's flags or errors reach the next."""
+        assert _build_parser() is _build_parser()
+        grid = ["--snr-start-db", "-40", "--snr-stop-db", "-40"]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["analytic", "--scheme", "dh_blind", "--n", "16", "32", *grid, "--out", str(first)]) == 0
+        assert main(["analytic", "--scheme", "dh_blind", *grid, "--out", str(second)]) == 0
+        assert [r.n for r in read_rows(first)] == [16, 32]
+        assert [r.n for r in read_rows(second)] == [64]
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--scheme-a", "dh_blind"])
+        assert exc.value.code == 1
+        assert main(["compare", "--scheme-a", "dh_blind", "--scheme-b", "dh_blind", "--n-a", "8",
+                     "--target", "1e-3"]) == 0
+
+
+def test_cli_commands_import_no_scipy(tmp_path):
+    """compare, analytic, simulate and figure run without importing scipy.
+
+    In a fresh interpreter, since this test process has scipy loaded."""
+    out = str(tmp_path)
+    calls = [
+        ["compare", "--scheme-a", "dh_intelligent", "--scheme-b", "ap_intelligent", "--n-a", "64",
+         "--target", "1e-5"],
+        ["analytic", "--scheme", "dh_intelligent", "--n", "16", "--snr-start-db", "-40",
+         "--snr-stop-db", "-38", "--bound", "--out", f"{out}/an.csv"],
+        ["simulate", "--scheme", "dh_blind", "--n", "4", "--snr-start-db", "0", "--snr-stop-db", "0",
+         "--max-trials", "10000", "--out", f"{out}/sim.csv"],
+        ["figure", "fig7", "--snr-start-db", "10", "--snr-stop-db", "10", "--max-trials", "10000",
+         "--out", f"{out}/fig7.csv"],
+    ]
+    script = (
+        "import sys\n"
+        "from ris_linklab.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "leaked = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "sys.exit(f'scipy imported: {leaked}' if leaked else 0)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_readme_library_sketch_runs():
