@@ -280,16 +280,18 @@ def required_snr_db(
         raise ValueError(
             f"target {target} not bracketed by curve on [{lo_db}, {hi_db}] dB"
         )
-    return _brent(gap, lo_db, hi_db)
+    return _brent(gap, lo_db, hi_db, g_lo, g_hi)
 
 
-def _brent(f, xa, xb) -> float:
-    """A root of f in [xa, xb], whose ends f must give opposite signs or a zero.
+def _brent(f, xa, xb, fa, fb) -> float:
+    """A root of f in [xa, xb], whose ends fa = f(xa) and fb = f(xb) must
+    have opposite signs or be zero; the caller has them already.
 
     A line-for-line port of scipy's ``brentq`` C routine at xtol = 1e-9,
     its default rtol = 4 eps and maxiter = 100: the same double operations
     in the same order, so it returns ``brentq(f, xa, xb, xtol=1e-9)`` bit
-    for bit after as many evaluations of f, without importing scipy.
+    for bit after as many evaluations of f (counting the two ends), without
+    importing scipy.
     Python floats are C doubles, except that a division by zero raises; C's
     infinite or NaN step there fails the step test and bisects.  Raises
     ArithmeticError after 100 iterations (scipy: RuntimeError).
@@ -297,7 +299,7 @@ def _brent(f, xa, xb) -> float:
     xtol, rtol, maxiter = 1e-9, 4 * sys.float_info.epsilon, 100
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    fpre, fcur = float(fa), float(fb)
     if fpre == 0:
         return xpre
     if fcur == 0:

@@ -10,12 +10,16 @@ probability zero.
 
 Each chunk draws from its own stream in a fixed order: the gain draws of
 :func:`~ris_linklab.schemes.draw_gains` (its docstring states them per
-scheme: blocked Exp(1) legs for the intelligent gains, the exact
-low-dimensional laws for the blind ones), then the symbol indices, then the
-real and the imaginary noise blocks (one
+scheme: blocked Exp(1) legs for the intelligent gains, made in float32 from
+raw SFC64 words, the exact low-dimensional laws for the blind ones), then
+the symbol indices, then the real and the imaginary noise blocks (one
 :func:`~ris_linklab.rng.standard_complex_normal` draw, scaled by sqrt(N0)).
 ``tests/per_element.py`` holds the per-element channel the gains are tested
-against.
+against.  An intelligent leg is the midpoint of one of 2**31 equal cells of
+its uniform, so a deep fade is drawn from a lattice law: at N = 1 the
+rate of E F < t is within 2e-9 of Exp(1)'s (relative) at t = 1e-8 and
+3e-4 at t = 1e-9, and away from fades a float32 leg is within about
+1.1e-5 of its lattice value for E < 8 (``draw_gains`` gives the bounds).
 
 Work is organized in fixed-size chunks.  Chunk ``k`` of grid point ``p``
 always consumes the stream ``(seed, p * 2**32 + k)``, and a point stops at

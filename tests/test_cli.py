@@ -427,7 +427,8 @@ class TestMainEntry:
         import ris_linklab.cli as cli_mod
         from ris_linklab.analytic import _brent
 
-        flat_root = lambda curve, target: _brent(lambda db: -((db - 0.3) ** 3), -80, 60)
+        cubic = lambda db: -((db - 0.3) ** 3)
+        flat_root = lambda curve, target: _brent(cubic, -80, 60, cubic(-80), cubic(60))
         monkeypatch.setattr(cli_mod, "required_snr_db", flat_root)
         rc = main(["compare", "--scheme-a", "dh_blind", "--scheme-b", "ap_blind", "--n-a", "16",
                    "--target", "1e-3"])

@@ -166,22 +166,32 @@ def random_phases(seed: int, shape) -> np.ndarray:
 BLOCK_VALUES = 65536  # values per leg in one block of draw_gains' intelligent draws
 
 
+def lattice_exponentials(rng, shape):
+    """Exp(1) values of the documented leg law, in float64: each raw word
+    gives two int32 values s, low half first, and E = -log(1 - U) with
+    U = min(|s + 1/2| * 2**-31, 1 - 2**-24)."""
+    values = int(np.prod(shape))
+    words = rng.bit_generator.random_raw((values + 1) // 2)
+    s = words.astype("<u8").view("<i4")[:values].astype(np.float64)
+    return -np.log1p(-np.minimum(np.abs(s + 0.5) * 2.0**-31, 1.0 - 2.0**-24)).reshape(shape)
+
+
 def intelligent_channel(scheme, n, seed):
     """A replay's draw_channel for an intelligent scheme: the amplitudes in
-    the documented order (row blocks of max(1, 65536 // N) rows, each
-    drawing sqrt(Exp(1)) for alpha, then for beta), with random channel
-    phases.  AP intelligent draws beta only, and h is then 1."""
+    the documented order (row blocks of max(1, 65536 // N) rows, each one
+    block of raw words giving sqrt(Exp(1)) for alpha, then for beta), with
+    random channel phases.  AP intelligent draws beta only, and h is then 1."""
     legs = 2 if scheme is Scheme.DH_INTELLIGENT else 1
 
     def draw_channel(rng, trials):
         rows = max(1, BLOCK_VALUES // n)
         blocks = [
-            [np.sqrt(rng.standard_exponential((min(rows, trials - start), n))) for _ in range(legs)]
+            np.sqrt(lattice_exponentials(rng, (legs, min(rows, trials - start), n)))
             for start in range(0, trials, rows)
         ]
         phases = random_phases(seed, (legs, trials, n))
-        h_g = [np.concatenate(leg) * phase for leg, phase in zip(zip(*blocks), phases)]
-        return h_g if legs == 2 else (np.ones((trials, n)), h_g[0])
+        h_g = np.concatenate(blocks, axis=1) * phases
+        return tuple(h_g) if legs == 2 else (np.ones((trials, n)), h_g[0])
 
     return draw_channel
 

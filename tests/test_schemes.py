@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import k1
 from scipy.stats import ks_2samp
 
 from ris_linklab.modulation import ConstellationKind, build_constellation, detect_ml
 from ris_linklab.rng import RngStream
-from ris_linklab.schemes import Scheme, SchemeConfig, draw_gains
+from ris_linklab.schemes import Scheme, SchemeConfig, _negative_exponentials, draw_gains
 
 import per_element
 
@@ -235,3 +236,93 @@ class TestApDetectionStructure:
         for scheme in (Scheme.AP_INTELLIGENT, Scheme.AP_BLIND):
             received, gain = link(scheme, h, g, messages)
             assert np.array_equal(detect_ml(received, np.broadcast_to(gain, 4), AP4), messages)
+
+
+class TestDrawGainsRejectsEmptySurfaces:
+    @pytest.mark.parametrize("n", [0, -2])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rejects_n_below_one(self, scheme, n):
+        with pytest.raises(ValueError, match=f"n_reflectors must be >= 1, got {n}"):
+            draw_gains(scheme, n, RngStream(3).generator(), 10)
+
+
+HALF = 2**31  # int32 words s >= 0 and s < 0 each number 2**31
+
+
+def legs(j, sign: int) -> np.ndarray:
+    """The sampler's float32 leg E at the word s = j (sign 1) or s = -1 - j
+    (sign -1), j in [0, 2**31), as float64; it does not decrease with j."""
+    s = np.asarray(j, np.int64) if sign > 0 else -1 - np.asarray(j, np.int64)
+    s = s.astype(np.int32)
+    return -_negative_exponentials(s, np.empty(s.shape, np.float32)).astype(np.float64)
+
+
+def last_j(y, strict: bool, sign: int) -> np.ndarray:
+    """The largest j with legs(j, sign) < y (strict) or <= y, -1 if none; by bisection."""
+    y = np.asarray(y, np.float64)
+    lo, hi = np.full(y.shape, -1, np.int64), np.full(y.shape, HALF, np.int64)
+    while np.any(open_ := hi - lo > 1):
+        mid = np.where(open_, (lo + hi) // 2, 0)
+        leg = legs(mid, sign)
+        below = open_ & ((leg < y) if strict else (leg <= y))
+        lo, hi = np.where(below, mid, lo), np.where(open_ & ~below, mid, hi)
+    return lo
+
+
+def words_below(y, strict: bool) -> np.ndarray:
+    """The number of the 2**32 words whose leg is < y (strict) or <= y."""
+    return sum(last_j(y, strict, sign) + 1 for sign in (1, -1))
+
+
+class TestLegLattice:
+    """The intelligent legs E = -log1p(-U), U = |s + 1/2| * 2**-31 clamped
+    to 1 - 2**-24, from int32 words s in float32 (``draw_gains``): their
+    exact law, counted over the 2**32 words rather than sampled."""
+
+    @staticmethod
+    def lattice(s) -> np.ndarray:
+        """The float64 lattice value of E at words s."""
+        u = np.minimum(np.abs(s.astype(np.float64) + 0.5) * 2.0**-31, 1.0 - 2.0**-24)
+        return -np.log1p(-u)
+
+    def assert_within_two_ulp(self, s):
+        want = self.lattice(s)
+        got = -_negative_exponentials(s, np.empty(s.shape, np.float32)).astype(np.float64)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want.astype(np.float32)))
+
+    def test_float32_legs_within_two_ulp(self):
+        """Every |s| < 2**23 (one sign each, alternating) and both end words."""
+        for start in range(0, 2**23, 2**20):
+            k = np.arange(start, start + 2**20)
+            self.assert_within_two_ulp(np.where(k % 2 == 0, k, -k).astype(np.int32))
+        self.assert_within_two_ulp(np.array([0, -1, HALF - 1, -HALF], np.int32))
+
+    def test_cdf_passes_through_every_step(self):
+        """At the largest leg v <= x, for x from 1e-9 to 12, 1 - exp(-x') for
+        some x' within 2 ulp of v lies between P(E < v) and P(E <= v), to 2**-30."""
+        x = np.geomspace(1e-9, 12.0, 64)
+        v = np.maximum(legs(last_j(x, False, 1), 1), legs(last_j(x, False, -1), -1))
+        below, upto = (words_below(v, strict) * 2.0**-32 for strict in (True, False))
+        ulp = np.spacing(v.astype(np.float32)).astype(np.float64)
+        cdf = lambda y: -np.expm1(-y)
+        assert np.all(cdf(v - 2 * ulp) - 2.0**-30 <= upto)
+        assert np.all(below <= cdf(v + 2 * ulp) + 2.0**-30)
+
+    def test_top_mass(self):
+        """The largest leg is 24 ln 2 and carries 383 * 2**-32 (see draw_gains)."""
+        top = legs(HALF - 1, 1)
+        assert legs(HALF - 1, -1) == top == pytest.approx(24 * np.log(2.0), rel=2**-23)
+        assert 2**32 - words_below(top, strict=True) == 383
+
+    def test_single_cascade_deep_fade(self):
+        """N = 1: P(E F < t) at t = 1e-8 over the lattice, against
+        1 - 2 sqrt(t) K1(2 sqrt(t)).  Every pair with E F < t has a leg at
+        most r = sqrt(t), so the pairs are counted from that side twice, less
+        the pairs with both legs at most r."""
+        t = 1e-8
+        small = np.concatenate([legs(np.arange(last_j(np.sqrt(t), False, sign) + 1), sign) for sign in (1, -1)])
+        partners = words_below(t / small, strict=True)
+        one_side = partners.sum() * 2.0**-64
+        both = np.minimum(partners, len(small)).sum() * 2.0**-64
+        z = 2.0 * np.sqrt(t)
+        assert 2 * one_side - both == pytest.approx(1.0 - z * k1(z), rel=1e-6)
