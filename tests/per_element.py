@@ -20,6 +20,13 @@ def channel(n: int, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, 
     return standard_complex_normal(rng, (trials, n)), standard_complex_normal(rng, (trials, n))
 
 
+def lattice_legs(s: np.ndarray) -> np.ndarray:
+    """The intelligent sampler's Exp(1) legs at int32 words s, in float64:
+    E = -log1p(-U) with U = |s + 1/2| * 2**-31 clamped to 1 - 2**-24."""
+    u = np.minimum(np.abs(s.astype(np.float64) + 0.5) * 2.0**-31, 1.0 - 2.0**-24)
+    return -np.log1p(-u)
+
+
 def channel_phases(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(theta, psi) in [0, 2 pi), so that h = |h| exp(-j theta), g = |g| exp(-j psi)."""
     return np.mod(-np.angle(h), 2.0 * np.pi), np.mod(-np.angle(g), 2.0 * np.pi)

@@ -167,13 +167,11 @@ BLOCK_VALUES = 65536  # values per leg in one block of draw_gains' intelligent d
 
 
 def lattice_exponentials(rng, shape):
-    """Exp(1) values of the documented leg law, in float64: each raw word
-    gives two int32 values s, low half first, and E = -log(1 - U) with
-    U = min(|s + 1/2| * 2**-31, 1 - 2**-24)."""
+    """Exp(1) legs of the documented law, in float64: each raw word gives
+    two int32 values, low half first (see ``per_element.lattice_legs``)."""
     values = int(np.prod(shape))
     words = rng.bit_generator.random_raw((values + 1) // 2)
-    s = words.astype("<u8").view("<i4")[:values].astype(np.float64)
-    return -np.log1p(-np.minimum(np.abs(s + 0.5) * 2.0**-31, 1.0 - 2.0**-24)).reshape(shape)
+    return per_element.lattice_legs(words.astype("<u8").view("<i4")[:values]).reshape(shape)
 
 
 def intelligent_channel(scheme, n, seed):

@@ -249,12 +249,16 @@ class TestDrawGainsRejectsEmptySurfaces:
 HALF = 2**31  # int32 words s >= 0 and s < 0 each number 2**31
 
 
-def legs(j, sign: int) -> np.ndarray:
-    """The sampler's float32 leg E at the word s = j (sign 1) or s = -1 - j
-    (sign -1), j in [0, 2**31), as float64; it does not decrease with j."""
-    s = np.asarray(j, np.int64) if sign > 0 else -1 - np.asarray(j, np.int64)
-    s = s.astype(np.int32)
+def sampled_legs(s: np.ndarray) -> np.ndarray:
+    """The sampler's float32 legs E at int32 words s, as float64."""
     return -_negative_exponentials(s, np.empty(s.shape, np.float32)).astype(np.float64)
+
+
+def legs(j, sign: int) -> np.ndarray:
+    """The leg at the word s = j (sign 1) or s = -1 - j (sign -1), j in
+    [0, 2**31); it does not decrease with j."""
+    j = np.asarray(j, np.int64)
+    return sampled_legs((j if sign > 0 else -1 - j).astype(np.int32))
 
 
 def last_j(y, strict: bool, sign: int) -> np.ndarray:
@@ -279,16 +283,9 @@ class TestLegLattice:
     to 1 - 2**-24, from int32 words s in float32 (``draw_gains``): their
     exact law, counted over the 2**32 words rather than sampled."""
 
-    @staticmethod
-    def lattice(s) -> np.ndarray:
-        """The float64 lattice value of E at words s."""
-        u = np.minimum(np.abs(s.astype(np.float64) + 0.5) * 2.0**-31, 1.0 - 2.0**-24)
-        return -np.log1p(-u)
-
     def assert_within_two_ulp(self, s):
-        want = self.lattice(s)
-        got = -_negative_exponentials(s, np.empty(s.shape, np.float32)).astype(np.float64)
-        assert np.all(np.abs(got - want) <= 2 * np.spacing(want.astype(np.float32)))
+        want = per_element.lattice_legs(s)
+        assert np.all(np.abs(sampled_legs(s) - want) <= 2 * np.spacing(want.astype(np.float32)))
 
     def test_float32_legs_within_two_ulp(self):
         """Every |s| < 2**23 (one sign each, alternating) and both end words."""
