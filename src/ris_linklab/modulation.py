@@ -15,7 +15,7 @@ sample: square QAM rounds each axis to the nearest lattice level (clipped
 to the edge levels), PSK quantises the angle of z to M sectors.  Exact
 ties go to the lowest index: to the lower level on each QAM axis, to the
 lower of two neighbouring phases, and to 0 between M - 1 and 0; a zero
-gain decides 0.
+gain, and for PSK a zero z of either sign, decides 0.
 """
 
 from __future__ import annotations
@@ -108,19 +108,21 @@ def detect_ml(received, gain, constellation: Constellation) -> np.ndarray:
 
     The decision is the point nearest to ``r / g``, found by the slicers
     the module docstring describes.  A zero gain (blocked surface) makes
-    every point equally likely and decides 0.
+    every point equally likely and decides 0.  Neither input is modified.
     """
     received = np.asarray(received)
     gain = np.asarray(gain)
-    if not (np.all(np.isfinite(received)) and np.all(np.isfinite(gain))):
+    if not (np.isfinite(received).all() and np.isfinite(gain).all()):
         raise ValueError("received samples and gains must be finite")
-    blocked = gain == 0
-    z = received / np.where(blocked, 1, gain)
+    shape = np.broadcast_shapes(received.shape, gain.shape)
+    blocked = None if gain.all() else gain == 0
+    z = np.atleast_1d(received / (gain if blocked is None else np.where(blocked, 1, gain)))
     if constellation.kind is ConstellationKind.QAM:
         index = _slice_qam(z, constellation)
     else:
         index = _slice_phase(z, constellation.order)
-    return np.where(blocked, 0, index)
+    index = index.reshape(shape)
+    return index if blocked is None else np.where(blocked, 0, index)
 
 
 def _slice_qam(z: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -143,6 +145,16 @@ def _nearest_level(u: np.ndarray, side: int) -> np.ndarray:
 def _slice_phase(z: np.ndarray, order: int) -> np.ndarray:
     """Nearest point exp(2j*pi*m/M) by angle: point m sits at t = m, with t
     in [-M/2, M/2].  A tie goes to the lower index: t = m + 1/2 to m, and
-    t = -1/2, the tie between M - 1 and 0, to 0."""
-    t = np.angle(z) / (2.0 * np.pi / order)
-    return np.where(t == -0.5, 0, np.ceil(t - 0.5)).astype(np.intp) % order
+    t = -1/2, the tie between M - 1 and 0, to 0.  A zero z, whose angle is
+    only the sign of its zeros, is equidistant from every point: it decides 0."""
+    t = np.angle(z)
+    t /= 2.0 * np.pi / order
+    ties = t == -0.5
+    if not z.all():
+        ties |= z == 0
+    t -= 0.5
+    index = np.ceil(t, out=t).astype(np.intp)
+    index &= order - 1  # the order is a power of two
+    if ties.any():
+        index[ties] = 0
+    return index

@@ -26,15 +26,21 @@ always consumes the stream ``(seed, p * 2**32 + k)``, and a point stops at
 the smallest chunk index whose cumulative (index-ordered) symbol-error
 count reaches ``min_errors``.  Both rules depend only on per-chunk results,
 so sweeps are bitwise reproducible for any worker count and any scheduling
-order; extra speculatively-computed chunks are simply discarded.
+order.  With several workers one scheduler serves the whole sweep: a free
+worker takes a chunk that is certainly needed, the next chunk of a live
+point with none in flight, before it speculates on a point's later chunks,
+so only the last few live points of a sweep can compute a chunk that is
+then discarded (``run_sweep`` states the rule).  Each worker thread draws
+and detects in one reused workspace of chunk-sized arrays.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +53,9 @@ WORKERS_ENV_VAR = "RIS_LINKLAB_THREADS"
 
 # Stream ids are (point << 32) | chunk, so both indices must stay below 2**32.
 STREAM_INDEX_LIMIT = 2**32
+
+# Each thread's chunk buffers (see _workspace).
+_local = threading.local()
 
 __all__ = [
     "WORKERS_ENV_VAR",
@@ -99,8 +108,12 @@ class SweepSpec:
             raise ValueError("snr_grid_db must be strictly increasing")
         if self.min_errors < 1:
             raise ValueError(f"min_errors must be >= 1, got {self.min_errors}")
-        if self.chunk_size < 1 or self.max_trials < self.chunk_size:
-            raise ValueError("need max_trials >= chunk_size >= 1")
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if self.max_trials < self.chunk_size:
+            raise ValueError(
+                f"max_trials ({self.max_trials}) must be at least chunk_size ({self.chunk_size})"
+            )
         chunks = math.ceil(self.max_trials / self.chunk_size)
         if chunks >= STREAM_INDEX_LIMIT:
             raise ValueError(
@@ -178,21 +191,41 @@ def _chunk_counts(
     Draw order per chunk is fixed: the gain draws of ``draw_gains``, then
     symbol indices, then the real and the imaginary noise blocks.  Only the
     composite gain enters the received sample and the detector, so each
-    scheme draws the exact law of that gain.
+    scheme draws the exact law of that gain.  The gain, noise and received
+    samples go into this thread's workspace (see :func:`_workspace`).
     """
     rng = stream.generator()
     const = config.constellation
-    n0 = _noise_density(snr_db)
+    real_gain, complex_gain, noise, received = _workspace(trials)
 
-    gain = draw_gains(config.scheme, config.n_reflectors, rng, trials)
+    gain = draw_gains(
+        config.scheme, config.n_reflectors, rng, trials,
+        out=real_gain if config.scheme.is_intelligent else complex_gain,
+    )
     tx = rng.integers(0, const.order, size=trials)
-    noise = standard_complex_normal(rng, trials) * np.sqrt(n0)
-    received = gain * const.points[tx] + noise
+    standard_complex_normal(rng, trials, out=noise)
+    noise *= np.sqrt(_noise_density(snr_db))
+    np.take(const.points, tx, out=received, mode="clip")  # tx is in range; "clip" skips a buffer
+    np.multiply(gain, received, out=received)
+    received += noise
     rx = detect_ml(received, gain, const)
 
-    symbol_errors = int(np.count_nonzero(rx != tx))
-    bit_errors = int(const.bit_distance_table[tx, rx].sum())
-    return symbol_errors, bit_errors
+    wrong = np.flatnonzero(rx != tx)
+    return len(wrong), int(const.bit_distance_table[tx[wrong], rx[wrong]].sum())
+
+
+def _workspace(trials: int) -> tuple[np.ndarray, ...]:
+    """This thread's chunk buffers, ``trials`` long: the real (intelligent)
+    gain, then the complex blind gain, noise and received samples.
+
+    Each thread keeps one set, sized by the longest chunk it has run
+    (560 kB at 10 000 trials), and a chunk overwrites what it uses.
+    """
+    buffers = getattr(_local, "buffers", None)
+    if buffers is None or buffers[0].size < trials:
+        buffers = _local.buffers = (np.empty(trials), np.empty((3, trials), np.complex128))
+    real, complex_ = buffers
+    return (real[:trials], *complex_[:, :trials])
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -212,83 +245,109 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _run_point(
-    spec: SweepSpec,
-    point_index: int,
-    snr_db: float,
-    pool: ThreadPoolExecutor | None,
-    workers: int,
-) -> SweepPoint:
-    n_chunks = math.ceil(spec.max_trials / spec.chunk_size)
+class _Point:
+    """The chunks of one grid point: how many are handed out, those in flight
+    (in index order), and the totals of those consumed in index order."""
 
-    def chunk_task(chunk_index: int) -> tuple[int, int, int]:
-        start = chunk_index * spec.chunk_size
-        trials = min(spec.chunk_size, spec.max_trials - start)
-        stream = RngStream(spec.seed, (point_index << 32) | chunk_index)
-        sym, bit = _chunk_counts(spec.config, snr_db, stream, trials)
-        return trials, sym, bit
+    def __init__(self, spec: SweepSpec, index: int) -> None:
+        self.spec = spec
+        self.index = index
+        self.n_chunks = math.ceil(spec.max_trials / spec.chunk_size)
+        self.submitted = self.consumed = 0
+        self.in_flight: deque[Future] = deque()
+        self.trials = self.symbol_errors = self.bit_errors = 0
+        self.stopped = False
 
-    if pool is None:
-        results = map(chunk_task, range(n_chunks))
-    else:
-        results = _in_order(pool, workers, chunk_task, n_chunks)
+    def run_chunk(self, chunk_index: int) -> tuple[int, int, int]:
+        """(trials, symbol errors, bit errors) of chunk ``chunk_index``."""
+        spec = self.spec
+        trials = min(spec.chunk_size, spec.max_trials - chunk_index * spec.chunk_size)
+        stream = RngStream(spec.seed, (self.index << 32) | chunk_index)
+        return (trials, *_chunk_counts(spec.config, spec.snr_grid_db[self.index], stream, trials))
 
-    total_trials = total_sym = total_bit = 0
-    for trials, sym, bit in results:
-        total_trials += trials
-        total_sym += sym
-        total_bit += bit
-        if total_sym >= spec.min_errors:
-            break
-    if pool is not None:
-        results.close()  # cancels the speculative chunks not yet started
-
-    return SweepPoint(
-        snr_db=snr_db,
-        trials=total_trials,
-        symbol_errors=total_sym,
-        bit_errors=total_bit,
-        bits_per_symbol=spec.config.constellation.bits_per_symbol,
-    )
+    def consume(self, result: tuple[int, int, int]) -> None:
+        """Add the next chunk's counts; the point stops once it has
+        ``min_errors`` symbol errors or after its last chunk."""
+        trials, sym, bit = result
+        self.trials += trials
+        self.symbol_errors += sym
+        self.bit_errors += bit
+        self.consumed += 1
+        self.stopped = self.symbol_errors >= self.spec.min_errors or self.consumed == self.n_chunks
 
 
-def _in_order(pool: ThreadPoolExecutor, workers: int, task, count: int):
-    """Yield ``task(0) ... task(count - 1)`` in index order, computed on ``pool``.
+def _next_chunk(live: list[_Point]) -> _Point | None:
+    """The point whose next chunk a free worker takes: the first live point
+    with no chunk in flight, whose next chunk is certainly needed, else the
+    first live point with a chunk left, whose next chunk is speculative."""
+    for point in live:
+        if not point.in_flight:
+            return point
+    for point in live:
+        if point.submitted < point.n_chunks:
+            return point
+    return None
 
-    At most ``workers`` chunks are in flight, the next one to consume among
-    them, so a point that stops early discards at most ``workers - 1``.
-    Results are consumed in index order, so the stopping decision never
-    depends on the worker count.
-    """
-    pending = deque()
-    submitted = 0
-    try:
-        while pending or submitted < count:
-            while submitted < count and len(pending) < workers:
-                pending.append(pool.submit(task, submitted))
-                submitted += 1
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
+
+def _schedule(points: list[_Point], pool: ThreadPoolExecutor, workers: int) -> None:
+    """Run the points' chunks on ``pool`` with at most ``workers`` chunks in
+    flight (see :func:`run_sweep`).  A chunk is in flight from its hand-out
+    until it is consumed, or, once its point has stopped, until it finishes:
+    then it is discarded."""
+    live = list(points)
+    discarded: list[Future] = []
+    while live:
+        in_flight = len(discarded) + sum(len(point.in_flight) for point in live)
+        while in_flight < workers and (point := _next_chunk(live)) is not None:
+            point.in_flight.append(pool.submit(point.run_chunk, point.submitted))
+            point.submitted += 1
+            in_flight += 1
+        wait([point.in_flight[0] for point in live if point.in_flight] + discarded, return_when=FIRST_COMPLETED)
+        for point in live:
+            while not point.stopped and point.in_flight and point.in_flight[0].done():
+                point.consume(point.in_flight.popleft().result())
+            if point.stopped:
+                discarded += point.in_flight
+        live = [point for point in live if not point.stopped]
+        discarded = [future for future in discarded if not future.done()]
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepPoint]:
     """Simulate every grid point of ``spec``; deterministic in ``spec.seed``.
 
     ``workers`` (>= 1) defaults to the usable cores; RIS_LINKLAB_THREADS caps it.
-    With more than one worker a single thread pool serves the whole sweep.
+    One worker runs the points in grid order, each chunk in index order, in
+    this thread.  More workers share one thread pool for the whole sweep, with
+    at most ``workers`` chunks in flight: handed out and not yet consumed (or,
+    for a point that has stopped, not yet finished).  A free worker takes the
+    next chunk of the lowest-index live point with no chunk in flight, a chunk
+    that is certainly needed; only when every live point has one in flight
+    does it take the next chunk of the lowest-index live point that has
+    chunks left, a speculative one.  So chunks are speculative, and may be
+    discarded, only once fewer live points than workers remain, and a sweep
+    discards at most ``(workers - 1)**2`` chunks: at two workers, at most one.
+    Each point consumes its chunks in index order, so where it stops does not
+    depend on the worker count.
     """
     workers = _resolve_workers(workers)
     # glibc hands a freed heap top back to the OS once it exceeds twice the
-    # largest block it has unmapped.  Unmapping one 4 MiB block first keeps each
-    # chunk's ~1 MB of temporaries mapped between chunks; without it a
-    # fig7_blind benchmark round took about 15 000 more minor page faults.
+    # largest block it has unmapped.  Unmapping one 4 MiB block first keeps the
+    # intelligent draws' 512 KiB leg buffers and fresh 256 KiB raw-word arrays
+    # on the heap between blocks and chunks; without it a mary_n64 benchmark
+    # round took about 9 500 minor page faults more, and 14 % more CPU time.
     np.empty(1 << 19)
-    points = enumerate(spec.snr_grid_db)
+    points = [_Point(spec, index) for index in range(len(spec.snr_grid_db))]
     # Serial, not a one-worker pool: a dh_intelligent N = 64 16-QAM chunk took
     # 15.1 ms here and 15.9 ms in a pool thread (medians, 2-core host).
     if workers == 1:
-        return [_run_point(spec, i, snr_db, None, 1) for i, snr_db in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [_run_point(spec, i, snr_db, pool, workers) for i, snr_db in points]
+        for point in points:
+            while not point.stopped:
+                point.consume(point.run_chunk(point.consumed))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            _schedule(points, pool, workers)
+    bits = spec.config.constellation.bits_per_symbol
+    return [
+        SweepPoint(snr_db, p.trials, p.symbol_errors, p.bit_errors, bits_per_symbol=bits)
+        for snr_db, p in zip(spec.snr_grid_db, points)
+    ]

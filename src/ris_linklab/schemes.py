@@ -49,6 +49,10 @@ class Scheme(enum.Enum):
     def is_access_point(self) -> bool:
         return self in (Scheme.AP_INTELLIGENT, Scheme.AP_BLIND)
 
+    @property
+    def is_intelligent(self) -> bool:
+        return self in (Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT)
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -68,7 +72,9 @@ class SchemeConfig:
             raise ValueError(f"{self.scheme.name} carries M-PSK (a common phase per message), not QAM")
 
 
-def draw_gains(scheme: Scheme, n: int, rng: np.random.Generator, trials: int) -> np.ndarray:
+def draw_gains(
+    scheme: Scheme, n: int, rng: np.random.Generator, trials: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Composite gains of ``trials`` independent fast-fading realizations.
 
     Each branch draws the exact law of the scheme's gain over an N-element
@@ -103,28 +109,32 @@ def draw_gains(scheme: Scheme, n: int, rng: np.random.Generator, trials: int) ->
     mass, where Exp(1) has 6.0e-8 above it.  The float32 amplitudes are
     summed per row in float64.
 
-    Intelligent gains are real and positive; blind gains are complex.
-    Raises ValueError for ``n < 1``.
+    Intelligent gains are real and positive (float64); blind gains are
+    complex (complex128).  ``out``, if given, is an array of that dtype and
+    of length ``trials`` that receives them.  Raises ValueError for ``n < 1``.
     """
     if n < 1:
         raise ValueError(f"n_reflectors must be >= 1, got {n}")
-    if scheme is Scheme.DH_INTELLIGENT or scheme is Scheme.AP_INTELLIGENT:
-        return _amplitude_sums(rng, n, trials, legs=2 if scheme is Scheme.DH_INTELLIGENT else 1)
+    if scheme.is_intelligent:
+        return _amplitude_sums(rng, n, trials, 2 if scheme is Scheme.DH_INTELLIGENT else 1, out)
     if scheme is Scheme.DH_BLIND:
         scale = np.sqrt(rng.standard_gamma(n, trials))
     else:  # AP_BLIND
         scale = np.sqrt(n)
-    return scale * standard_complex_normal(rng, trials)
+    gains = standard_complex_normal(rng, trials, out)
+    return np.multiply(scale, gains, out=gains)
 
 
-def _amplitude_sums(rng: np.random.Generator, n: int, trials: int, legs: int) -> np.ndarray:
+def _amplitude_sums(
+    rng: np.random.Generator, n: int, trials: int, legs: int, out: np.ndarray | None
+) -> np.ndarray:
     """Row sums of sqrt(E) (one leg) or sqrt(E * F) (two legs), drawn in the
     row blocks of ``draw_gains`` from raw words (see :func:`_negative_exponentials`).
     The float32 legs and one block of words stay within ``_BLOCK_VALUES``
     float64 values per leg, whatever ``trials``."""
     rows = max(1, _BLOCK_VALUES // n)
     buffers = np.empty((legs, min(rows, trials) * n), np.float32)
-    gains = np.empty(trials)
+    gains = np.empty(trials) if out is None else out
     for start in range(0, trials, rows):
         block = buffers[:, : min(rows, trials - start) * n]
         values = block.size

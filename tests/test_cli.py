@@ -317,6 +317,17 @@ class TestMainEntry:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--scheme", "dh_blind", "--n", "4", "--m", "2"],
+        ["figure", "fig7"],
+    ])
+    def test_budget_below_one_chunk_is_usage_error(self, tmp_path, capsys, command):
+        """The message names both values, not a chunk-size option the CLI lacks."""
+        rc = main([*command, "--max-trials", "5000", "--seed", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: max_trials (5000) must be at least chunk_size (10000)\n"
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("snr", ["-4000", "4000"])
     def test_grid_outside_n0_range_is_usage_error(self, tmp_path, capsys, snr):
         """N0 would overflow (-4000 dB) or underflow to a noiseless link (+4000 dB)."""

@@ -265,3 +265,38 @@ class TestSlicerTies:
         assert np.array_equal(decided, [[0, 0, 0, 0], [3, 7, 12, 15]])
         psk = build_constellation(ConstellationKind.PSK, 8)
         assert np.array_equal(detect_ml(psk.points[[5, 6]], np.zeros((3, 1)), psk), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("order", [2, 4, 8, 16, 32, 64])
+    def test_psk_zero_sample_goes_to_zero(self, order):
+        """A zero sample is equidistant from every point, so it decides 0
+        whatever the signs of its zeros and whatever the gain."""
+        c = build_constellation(ConstellationKind.PSK, order)
+        zeros = np.array([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
+        for gain in (1.0, -1.0, 1j, -2 + 3j):
+            assert np.array_equal(detect_ml(zeros, gain, c), [0] * 4), gain
+            for z in zeros:
+                assert detect_ml(z, gain, c) == 0, (z, gain)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_qam_zero_sample_keeps_the_centre_tie(self, order):
+        """Every signed zero takes the four-way centre tie to its lowest index."""
+        c = build_constellation(ConstellationKind.QAM, order)
+        inner = np.flatnonzero(np.isclose(np.abs(c.points), np.abs(c.points).min())).min()
+        zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        for gain in (1.0, -1.0, 1j, -2 + 3j):
+            assert np.array_equal(detect_ml(zeros, gain, c), [inner] * 4), gain
+
+
+@pytest.mark.parametrize("kind, order", SLICER_CASES)
+def test_detection_leaves_its_inputs_unchanged(kind, order):
+    """detect_ml works on its own copies: received and gain keep their values,
+    for real and complex gains, with and without a blocked (zero) gain."""
+    c = build_constellation(kind, order)
+    rng = np.random.default_rng(order)
+    received = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    received[:4] = [0.0, complex(-0.0, -0.0), complex(1, -1), -1.0]
+    for gain in (rng.standard_normal(64), received[::-1] * 1j, np.where(np.arange(64) % 5, 1.5, 0.0)):
+        kept_received, kept_gain = received.copy(), gain.copy()
+        detect_ml(received, gain, c)
+        assert np.array_equal(received, kept_received) and np.array_equal(gain, kept_gain)
+        assert np.array_equal(np.signbit(received.view(float)), np.signbit(kept_received.view(float)))

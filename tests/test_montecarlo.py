@@ -1,6 +1,10 @@
 """Tests for the sweep engine: determinism, stopping, statistical fidelity."""
 
+import math
 import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -255,7 +259,7 @@ class TestKernelMatchesScalarPath:
         """A zero gain makes every hypothesis tie: the kernel decides index 0."""
         import ris_linklab.montecarlo as mc
 
-        blocked = lambda scheme, n, rng, trials: per_element.gain(scheme, *np.zeros((2, trials, n), complex))
+        blocked = lambda scheme, n, rng, trials, out=None: per_element.gain(scheme, *np.zeros((2, trials, n), complex))
         monkeypatch.setattr(mc, "draw_gains", blocked)
         for scheme, order in ((Scheme.DH_INTELLIGENT, 16), (Scheme.AP_BLIND, 8)):
             stream = RngStream(37, 0)
@@ -264,6 +268,35 @@ class TestKernelMatchesScalarPath:
             tx = stream.generator().integers(0, order, size=self.TRIALS)
             table = config.constellation.bit_distance_table
             assert (sym, bit) == (np.count_nonzero(tx), table[tx, 0].sum())
+
+
+class TestWorkspace:
+    """Each thread reuses one set of chunk buffers; no result may depend on
+    what an earlier chunk in the same thread left in them."""
+
+    CASES = [  # (scheme, n, order, snr_db, stream id, trials)
+        (Scheme.DH_BLIND, 4, 2, 8.0, 1, 3000),
+        (Scheme.DH_BLIND, 4, 2, 8.0, 2, 1234),  # a short last chunk after a longer one
+        (Scheme.AP_BLIND, 16, 16, 12.0, 3, 3000),  # another scheme and another order
+        (Scheme.DH_INTELLIGENT, 8, 16, -20.0, 4, 2500),  # a real gain after complex ones
+        (Scheme.AP_INTELLIGENT, 8, 8, -10.0, 5, 700),
+        (Scheme.DH_BLIND, 16, 64, 20.0, 6, 3000),
+    ]
+
+    @staticmethod
+    def counts(case):
+        scheme, n, order, snr_db, stream_id, trials = case
+        config = make_spec(scheme, n, [snr_db], order=order).config
+        return _chunk_counts(config, snr_db, RngStream(17, stream_id), trials)
+
+    def test_chunk_counts_do_not_depend_on_earlier_calls(self):
+        fresh = []
+        for case in self.CASES:
+            with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread: an empty workspace
+                fresh.append(pool.submit(self.counts, case).result())
+        assert all(0 < sym <= bit for sym, bit in fresh)
+        assert [self.counts(c) for c in self.CASES] == fresh
+        assert [self.counts(c) for c in reversed(self.CASES)] == fresh[::-1]
 
 
 class TestStatisticalFidelity:
@@ -420,7 +453,9 @@ class TestScheduler:
     def uncapped(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
 
-    def counting_kernel(self, monkeypatch):
+    def counting_kernel(self, monkeypatch, slow_first_chunk=False):
+        """Record each chunk's stream id; optionally make every point's chunk 0
+        finish last, so results arrive out of index order."""
         import ris_linklab.montecarlo as mc
 
         calls = []
@@ -428,6 +463,8 @@ class TestScheduler:
 
         def counted(config, snr_db, stream, trials):
             calls.append(stream.stream_id)
+            if slow_first_chunk and stream.stream_id % 2**32 == 0:
+                time.sleep(0.05)
             return kernel(config, snr_db, stream, trials)
 
         monkeypatch.setattr(mc, "_chunk_counts", counted)
@@ -439,11 +476,51 @@ class TestScheduler:
         spec = make_spec(
             Scheme.AP_BLIND, 2, [-6.0, -5.0, -4.0], max_trials=1_000_000, min_errors=100, seed=4
         )
-        workers = 2
-        points = run_sweep(spec, workers=workers)
+        points = run_sweep(spec, workers=2)
         assert [p.trials for p in points] == [spec.chunk_size] * 3
-        assert len(calls) <= 3 * workers
+        assert len(calls) <= 3 + 1  # the chunks kept, and at most one speculative chunk
         assert points == run_sweep(spec, workers=1)
+
+    # Grids that mix points stopping at min_errors after one and after several
+    # chunks, points that spend the budget (whose last chunk is short) with
+    # errors, and a point that sees none.
+    MIXED = [
+        (Scheme.DH_BLIND, 4, [-5.0, 10.0, 15.0, 300.0]),
+        (Scheme.DH_INTELLIGENT, 4, [-10.0, -4.0, 0.0, 2.0, 20.0]),
+    ]
+
+    @pytest.mark.parametrize("scheme, n, grid", MIXED)
+    def test_mixed_grid_is_bitwise_equal_at_any_worker_count(self, monkeypatch, scheme, n, grid):
+        """Speculation is bounded: at most (workers - 1)**2 discarded chunks
+        per sweep, one at two workers."""
+        spec = make_spec(scheme, n, grid, max_trials=15_000, min_errors=60, chunk_size=2000, seed=11)
+        serial = run_sweep(spec, workers=1)
+        stopped_early = [p.trials for p in serial if p.symbol_errors >= spec.min_errors]
+        assert spec.chunk_size in stopped_early and max(stopped_early) > spec.chunk_size
+        assert any(p.trials == spec.max_trials and p.symbol_errors > 0 for p in serial)
+        assert serial[-1].trials == spec.max_trials and serial[-1].symbol_errors == 0
+        kept = sum(math.ceil(p.trials / spec.chunk_size) for p in serial)
+        calls = self.counting_kernel(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside the scheduler
+        try:
+            for workers in (2, 3, 8):
+                calls.clear()
+                assert run_sweep(spec, workers=workers) == serial
+                assert kept <= len(calls) <= kept + (workers - 1) ** 2
+                assert len(set(calls)) == len(calls)  # no chunk is computed twice
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_results_out_of_index_order_do_not_run_ahead(self, monkeypatch):
+        """While a point waits for a slow chunk 0, finished later chunks still
+        hold their workers, so the point discards at most one chunk."""
+        spec = make_spec(Scheme.DH_BLIND, 4, [10.0], max_trials=15_000, min_errors=60, chunk_size=2000, seed=11)
+        (serial,) = run_sweep(spec, workers=1)
+        assert spec.chunk_size < serial.trials < spec.max_trials
+        calls = self.counting_kernel(monkeypatch, slow_first_chunk=True)
+        assert run_sweep(spec, workers=2) == [serial]
+        assert len(calls) <= serial.trials // spec.chunk_size + 1
 
     def test_one_pool_per_sweep(self, monkeypatch):
         import ris_linklab.montecarlo as mc
