@@ -334,7 +334,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepPoint]:
     # largest block it has unmapped.  Unmapping one 4 MiB block first keeps the
     # intelligent draws' 512 KiB leg buffers and fresh 256 KiB raw-word arrays
     # on the heap between blocks and chunks; without it a mary_n64 benchmark
-    # round took about 9 500 minor page faults more, and 14 % more CPU time.
+    # round took about 9 400 more minor page faults and 25 % more CPU time.
     np.empty(1 << 19)
     points = [_Point(spec, index) for index in range(len(spec.snr_grid_db))]
     # Serial, not a one-worker pool: a dh_intelligent N = 64 16-QAM chunk took
