@@ -26,12 +26,13 @@ always consumes the stream ``(seed, p * 2**32 + k)``, and a point stops at
 the smallest chunk index whose cumulative (index-ordered) symbol-error
 count reaches ``min_errors``.  Both rules depend only on per-chunk results,
 so sweeps are bitwise reproducible for any worker count and any scheduling
-order.  With several workers one scheduler serves the whole sweep: a free
-worker takes a chunk that is certainly needed, the next chunk of a live
-point with none in flight, before it speculates on a point's later chunks,
-so only the last few live points of a sweep can compute a chunk that is
-then discarded (``run_sweep`` states the rule).  Each worker thread draws
-and detects in one reused workspace of chunk-sized arrays.
+order.  At every worker count one worker loop serves the whole sweep, and
+the calling thread is one of its workers: a free worker takes a chunk that
+is certainly needed, the next chunk of a live point with none in flight,
+before it speculates on a point's later chunks, so only the last few live
+points of a sweep can compute a chunk that is then discarded (``run_sweep``
+states the rule).  Each worker thread draws and detects in one reused
+workspace of chunk-sized arrays.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,15 +245,16 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 class _Point:
-    """The chunks of one grid point: how many are handed out, those in flight
-    (in index order), and the totals of those consumed in index order."""
+    """The chunks of one grid point: how many are handed out and consumed,
+    the finished results waiting for an earlier chunk, keyed by chunk index,
+    and the totals of those consumed in index order."""
 
     def __init__(self, spec: SweepSpec, index: int) -> None:
         self.spec = spec
         self.index = index
         self.n_chunks = math.ceil(spec.max_trials / spec.chunk_size)
         self.submitted = self.consumed = 0
-        self.in_flight: deque[Future] = deque()
+        self.results: dict[int, tuple[int, int, int]] = {}
         self.trials = self.symbol_errors = self.bit_errors = 0
         self.stopped = False
 
@@ -281,7 +281,7 @@ def _next_chunk(live: list[_Point]) -> _Point | None:
     with no chunk in flight, whose next chunk is certainly needed, else the
     first live point with a chunk left, whose next chunk is speculative."""
     for point in live:
-        if not point.in_flight:
+        if point.submitted == point.consumed:
             return point
     for point in live:
         if point.submitted < point.n_chunks:
@@ -289,45 +289,87 @@ def _next_chunk(live: list[_Point]) -> _Point | None:
     return None
 
 
-def _schedule(points: list[_Point], pool: ThreadPoolExecutor, workers: int) -> None:
-    """Run the points' chunks on ``pool`` with at most ``workers`` chunks in
-    flight (see :func:`run_sweep`).  A chunk is in flight from its hand-out
-    until it is consumed, or, once its point has stopped, until it finishes:
-    then it is discarded."""
-    live = list(points)
-    discarded: list[Future] = []
-    while live:
-        in_flight = len(discarded) + sum(len(point.in_flight) for point in live)
-        while in_flight < workers and (point := _next_chunk(live)) is not None:
-            point.in_flight.append(pool.submit(point.run_chunk, point.submitted))
-            point.submitted += 1
-            in_flight += 1
-        wait([point.in_flight[0] for point in live if point.in_flight] + discarded, return_when=FIRST_COMPLETED)
-        for point in live:
-            while not point.stopped and point.in_flight and point.in_flight[0].done():
-                point.consume(point.in_flight.popleft().result())
+class _Sweep:
+    """What the workers of one sweep share, guarded by one condition: the
+    live points, the count of chunks in flight (see :func:`run_sweep`) and
+    the first failure."""
+
+    def __init__(self, points: list[_Point], workers: int) -> None:
+        self.live = list(points)
+        self.workers = workers
+        self.in_flight = 0
+        self.error: BaseException | None = None
+        self.changed = threading.Condition()
+
+    def work(self) -> None:
+        """One worker: take a chunk, run it outside the lock, consume every
+        result now next in index order, and repeat until the sweep ends or
+        fails.  A failure, the chunk's or one raised while waiting, is kept
+        for :func:`run_sweep` to raise and stops all hand-out."""
+        with self.changed:
+            try:
+                while (taken := self._take()) is not None:
+                    point, index = taken
+                    self.changed.release()
+                    try:
+                        result = point.run_chunk(index)
+                    finally:
+                        self.changed.acquire()
+                    self._finish(point, index, result)
+            except BaseException as exc:  # raised again in the calling thread
+                if self.error is None:
+                    self.error = exc
+                self.changed.notify_all()
+
+    def _take(self) -> tuple[_Point, int] | None:
+        """Hand out the next chunk by :func:`_next_chunk`, waiting while
+        ``workers`` chunks are in flight or none is left to take; None once
+        every point has stopped or a worker has failed."""
+        while self.error is None and self.live:
+            if self.in_flight < self.workers and (point := _next_chunk(self.live)) is not None:
+                point.submitted += 1
+                self.in_flight += 1
+                return point, point.submitted - 1
+            self.changed.wait()
+        return None
+
+    def _finish(self, point: _Point, index: int, result: tuple[int, int, int]) -> None:
+        """Record chunk ``index`` of ``point`` and consume the point's results
+        in index order; a stopped point's chunks are discarded."""
+        if point.stopped:
+            self.in_flight -= 1
+        else:
+            point.results[index] = result
+            while not point.stopped and point.consumed in point.results:
+                point.consume(point.results.pop(point.consumed))
+                self.in_flight -= 1
             if point.stopped:
-                discarded += point.in_flight
-        live = [point for point in live if not point.stopped]
-        discarded = [future for future in discarded if not future.done()]
+                self.in_flight -= len(point.results)
+                point.results.clear()
+                self.live.remove(point)
+        self.changed.notify_all()
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepPoint]:
     """Simulate every grid point of ``spec``; deterministic in ``spec.seed``.
 
     ``workers`` (>= 1) defaults to the usable cores; RIS_LINKLAB_THREADS caps it.
-    One worker runs the points in grid order, each chunk in index order, in
-    this thread.  More workers share one thread pool for the whole sweep, with
-    at most ``workers`` chunks in flight: handed out and not yet consumed (or,
-    for a point that has stopped, not yet finished).  A free worker takes the
-    next chunk of the lowest-index live point with no chunk in flight, a chunk
-    that is certainly needed; only when every live point has one in flight
-    does it take the next chunk of the lowest-index live point that has
-    chunks left, a speculative one.  So chunks are speculative, and may be
+    The calling thread is a worker, and ``min(workers, chunks in the sweep) - 1``
+    helper threads join it for this sweep; at one worker none is started.
+    Every worker runs one loop: it takes a chunk, runs it, consumes the
+    point's results now next in index order, and takes its next chunk.  At
+    most ``workers`` chunks are in flight: handed out and not yet consumed
+    (or, for a point that has stopped, not yet finished).  A free worker takes
+    the next chunk of the lowest-index live point with no chunk in flight, a
+    chunk that is certainly needed; only when every live point has one in
+    flight does it take the next chunk of the lowest-index live point that
+    has chunks left, a speculative one.  So chunks are speculative, and may be
     discarded, only once fewer live points than workers remain, and a sweep
-    discards at most ``(workers - 1)**2`` chunks: at two workers, at most one.
-    Each point consumes its chunks in index order, so where it stops does not
-    depend on the worker count.
+    discards at most ``(workers - 1)**2`` chunks: at two workers, at most one,
+    and at one worker none, the points running in grid order.  Each point
+    consumes its chunks in index order, so where it stops does not depend on
+    the worker count.  An exception in a chunk ends the hand-out; the helpers
+    are joined and it is raised here.
     """
     workers = _resolve_workers(workers)
     # glibc hands a freed heap top back to the OS once it exceeds twice the
@@ -337,15 +379,18 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepPoint]:
     # round took about 9 400 more minor page faults and 25 % more CPU time.
     np.empty(1 << 19)
     points = [_Point(spec, index) for index in range(len(spec.snr_grid_db))]
-    # Serial, not a one-worker pool: a dh_intelligent N = 64 16-QAM chunk took
-    # 15.1 ms here and 15.9 ms in a pool thread (medians, 2-core host).
-    if workers == 1:
-        for point in points:
-            while not point.stopped:
-                point.consume(point.run_chunk(point.consumed))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            _schedule(points, pool, workers)
+    sweep = _Sweep(points, workers)
+    helpers = [
+        threading.Thread(target=sweep.work)
+        for _ in range(min(workers, sum(point.n_chunks for point in points)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    sweep.work()
+    for helper in helpers:
+        helper.join()
+    if sweep.error is not None:
+        raise sweep.error
     bits = spec.config.constellation.bits_per_symbol
     return [
         SweepPoint(snr_db, p.trials, p.symbol_errors, p.bit_errors, bits_per_symbol=bits)

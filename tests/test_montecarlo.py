@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -447,7 +448,8 @@ class TestSpecValidation:
 
 
 class TestScheduler:
-    """More than one worker: one pool per sweep, bounded speculation."""
+    """The worker loop: the calling thread is a worker, helpers live for one
+    sweep, speculation is bounded and a failing chunk ends the sweep."""
 
     @pytest.fixture(autouse=True)
     def uncapped(self, monkeypatch):
@@ -522,19 +524,62 @@ class TestScheduler:
         assert run_sweep(spec, workers=2) == [serial]
         assert len(calls) <= serial.trials // spec.chunk_size + 1
 
-    def test_one_pool_per_sweep(self, monkeypatch):
+    def counting_threads(self, monkeypatch):
+        """Record every thread the sweep starts."""
         import ris_linklab.montecarlo as mc
 
-        pools = []
-        executor = mc.ThreadPoolExecutor
+        threads = []
+        thread = mc.threading.Thread
 
-        def counted_pool(*args, **kwargs):
-            pools.append(kwargs)
-            return executor(*args, **kwargs)
+        def counted(*args, **kwargs):
+            threads.append(thread(*args, **kwargs))
+            return threads[-1]
 
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", counted_pool)
+        monkeypatch.setattr(mc.threading, "Thread", counted)
+        return threads
+
+    def test_caller_is_a_worker_and_helpers_end_with_the_sweep(self, monkeypatch):
+        """One worker starts no thread; two start one helper for the whole
+        sweep, and it has ended when run_sweep returns."""
+        threads = self.counting_threads(monkeypatch)
         spec = make_spec(Scheme.DH_BLIND, 2, [0.0, 5.0, 10.0], max_trials=40_000, min_errors=50, seed=6)
-        run_sweep(spec, workers=2)
-        assert pools == [{"max_workers": 2}]
-        run_sweep(spec, workers=1)
-        assert len(pools) == 1
+        serial = run_sweep(spec, workers=1)
+        assert threads == []
+        assert run_sweep(spec, workers=2) == serial
+        assert len(threads) == 1 and not threads[0].is_alive()
+
+    def test_helpers_never_outnumber_the_chunks(self, monkeypatch):
+        threads = self.counting_threads(monkeypatch)
+        spec = make_spec(Scheme.DH_BLIND, 2, [0.0], max_trials=20_000, seed=6)  # two chunks
+        run_sweep(spec, workers=8)
+        assert len(threads) == 1
+
+    class Boom(Exception):
+        pass
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failing_chunk_is_raised_and_ends_the_sweep(self, monkeypatch, workers):
+        """The chunk's exception reaches the caller, no helper outlives the
+        call, and no chunk is handed out once the failing one has finished."""
+        import ris_linklab.montecarlo as mc
+
+        events = []
+        kernel = mc._chunk_counts
+
+        def failing(config, snr_db, stream, trials):
+            if stream.stream_id == 3:  # chunk 3 of point 0
+                events.append("failed")
+                raise self.Boom
+            events.append(stream.stream_id)
+            time.sleep(0.01)  # outlasts the failing chunk's way back to the scheduler
+            return kernel(config, snr_db, stream, trials)
+
+        monkeypatch.setattr(mc, "_chunk_counts", failing)
+        spec = make_spec(Scheme.DH_BLIND, 2, [20.0, 30.0], max_trials=2000, min_errors=10**6, chunk_size=100)
+        threads_before = threading.active_count()
+        with pytest.raises(self.Boom):
+            run_sweep(spec, workers=workers)
+        assert threading.active_count() == threads_before
+        assert {0, 1, 2} <= set(events)
+        # Each other worker may start a chunk it was handed before the failure.
+        assert len(events) - events.index("failed") - 1 <= workers - 1
