@@ -577,8 +577,19 @@ class TestScheduler:
         monkeypatch.setattr(mc, "_chunk_counts", failing)
         spec = make_spec(Scheme.DH_BLIND, 2, [20.0, 30.0], max_trials=2000, min_errors=10**6, chunk_size=100)
         threads_before = threading.active_count()
-        with pytest.raises(self.Boom):
-            run_sweep(spec, workers=workers)
+        raised = []
+
+        def call():
+            with pytest.raises(self.Boom):
+                run_sweep(spec, workers=workers)
+            raised.append(True)
+
+        # A daemon caller, whose helpers are daemons too, so a deadlocked
+        # sweep fails the test instead of hanging the suite.
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive() and raised == [True]
         assert threading.active_count() == threads_before
         assert {0, 1, 2} <= set(events)
         # Each other worker may start a chunk it was handed before the failure.
