@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import AnalyticModel, db_to_linear, required_snr_db
-from .modulation import ConstellationKind, build_constellation
+from .modulation import ConstellationKind, build_constellation, check_order
 from .montecarlo import STREAM_INDEX_LIMIT, SweepSpec, run_sweep
 from .schemes import Scheme, SchemeConfig
 
@@ -180,10 +180,11 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 
 def _constellation_kind(scheme: Scheme, order: int) -> ConstellationKind:
-    """PSK for AP links or M = 2, else square QAM (4-QAM == QPSK)."""
-    if scheme.is_access_point or order == 2:
-        return ConstellationKind.PSK
-    return ConstellationKind.QAM
+    """PSK for AP links or M = 2, else square QAM (4-QAM == QPSK).  Raises
+    ValueError for an order that kind lacks, so every command refuses it."""
+    kind = ConstellationKind.PSK if scheme.is_access_point or order == 2 else ConstellationKind.QAM
+    check_order(kind, order)
+    return kind
 
 
 def _exact_sep(model: AnalyticModel, order: int, kind: ConstellationKind, nodes: int) -> float:

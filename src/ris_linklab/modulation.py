@@ -9,13 +9,19 @@ Two constellation families are supported:
 * ``QAM`` — square lattice ``{±1, ±3, ...}^2`` normalized to unit average
   energy, Gray-labelled independently along each axis.
 
+The order of either family is a power of two >= 2, and a QAM order is also
+a square (4, 16, 64, ...); :func:`check_order` states the rule once.
+
 :func:`detect_ml` is coherent ML detection against a known gain g.  Since
 ``|r - g*s|**2 = |g|**2 * |r/g - s|**2``, it slices ``z = r/g`` in O(1) per
 sample: square QAM rounds each axis to the nearest lattice level (clipped
-to the edge levels), PSK quantises the angle of z to M sectors.  Exact
-ties go to the lowest index: to the lower level on each QAM axis, to the
-lower of two neighbouring phases, and to 0 between M - 1 and 0; a zero
-gain, and for PSK a zero z of either sign, decides 0.
+to the edge levels), PSK quantises the angle of z to M sectors.  BPSK
+needs neither the quotient nor the angle: the sample lies nearer -g than
+g exactly when ``Re(r * conj(g)) < 0``, one real product per sample.
+Exact ties go to the lowest index: to the lower level on each QAM axis, to
+the lower of two neighbouring phases, and to 0 between M - 1 and 0 (for
+BPSK, ``Re(r * conj(g)) == 0``); a zero gain, and for PSK a zero sample of
+either sign, decides 0.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ConstellationKind", "Constellation", "build_constellation", "detect_ml"]
+__all__ = ["ConstellationKind", "Constellation", "check_order", "build_constellation", "detect_ml"]
 
 
 class ConstellationKind(enum.Enum):
@@ -63,14 +69,19 @@ class Constellation:
         return self.order.bit_length() - 1
 
 
-def build_constellation(kind: ConstellationKind, order: int) -> Constellation:
-    """Construct a Gray-labelled constellation of the given kind and order.
-
-    ``order`` must be a power of two (>= 2); QAM additionally requires a
-    square layout, i.e. order in {4, 16, 64, 256, ...}.
-    """
+def check_order(kind: ConstellationKind, order: int) -> None:
+    """Raise ValueError unless ``order`` is a valid order of ``kind``: a power
+    of two (>= 2), and for QAM also a square, i.e. in {4, 16, 64, 256, ...}."""
     if not _is_power_of_two(order):
         raise ValueError(f"order must be a power of two >= 2, got {order}")
+    if kind is ConstellationKind.QAM and math.isqrt(order) ** 2 != order:
+        raise ValueError(f"QAM requires a square power-of-two order (4, 16, 64, ...), got {order}")
+
+
+def build_constellation(kind: ConstellationKind, order: int) -> Constellation:
+    """Construct a Gray-labelled constellation of the given kind and an order
+    that :func:`check_order` accepts."""
+    check_order(kind, order)
     bits = order.bit_length() - 1
 
     if kind is ConstellationKind.PSK:
@@ -80,8 +91,6 @@ def build_constellation(kind: ConstellationKind, order: int) -> Constellation:
 
     if kind is ConstellationKind.QAM:
         side = math.isqrt(order)
-        if side * side != order:
-            raise ValueError(f"QAM requires a square power-of-two order (4, 16, 64, ...), got {order}")
         levels = 2.0 * np.arange(side) - (side - 1)
         # Unit average energy: mean of (i^2 + q^2) over the lattice is 2(M-1)/3.
         scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
@@ -109,12 +118,31 @@ def detect_ml(received, gain, constellation: Constellation) -> np.ndarray:
     The decision is the point nearest to ``r / g``, found by the slicers
     the module docstring describes.  A zero gain (blocked surface) makes
     every point equally likely and decides 0.  Neither input is modified.
+
+    BPSK decides 1 exactly where ``d = Re(r) Re(g) + Im(r) Im(g)``, which
+    is ``Re(r * conj(g))``, is negative, and 0 where ``d >= 0``: a zero gain
+    of either sign, a zero sample and a sample on the quadrature axis all
+    give ``d == 0`` and decide 0, the tie rule of the angle slicer.  The
+    two rules can part only where rounding decides, each with a probability
+    of order 1e-16 per trial under continuous draws: where
+    ``|Re z| <~ 1e-16 |Im z|``, atan2 rounds the angle of ``z = r / g`` to
+    exactly +-pi/2, which the angle slicer decides as 0, while the sign of
+    ``d`` decides by which side the sample lies (``-1e-17 + 1j`` at gain 1
+    decides 1); and where the two products of ``d`` nearly cancel for a
+    complex gain.  Products outside the float64 range (``|r| |g|`` above
+    about 1e308, or below about 1e-308, where they round to zero) can part
+    them too.
     """
     received = np.asarray(received)
     gain = np.asarray(gain)
     if not (np.isfinite(received).all() and np.isfinite(gain).all()):
         raise ValueError("received samples and gains must be finite")
     shape = np.broadcast_shapes(received.shape, gain.shape)
+    if constellation.kind is ConstellationKind.PSK and constellation.order == 2:
+        d = received.real * gain.real
+        if np.iscomplexobj(received) and np.iscomplexobj(gain):
+            d += received.imag * gain.imag
+        return np.atleast_1d(d < 0).astype(np.intp).reshape(shape)
     blocked = None if gain.all() else gain == 0
     z = np.atleast_1d(received / (gain if blocked is None else np.where(blocked, 1, gain)))
     if constellation.kind is ConstellationKind.QAM:

@@ -350,6 +350,42 @@ class TestMainEntry:
         assert "QAM requires a square" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    ORDER_COMMANDS = {
+        "analytic": ["analytic", "--n", "4", "--snr-start-db", "0", "--snr-stop-db", "0"],
+        "simulate": [
+            "simulate", "--n", "4", "--snr-start-db", "0", "--snr-stop-db", "0", "--max-trials", "10000",
+        ],
+        "compare": ["compare", "--n-a", "4", "--target", "1e-2"],
+    }
+
+    @staticmethod
+    def order_argv(command, scheme, order, out):
+        argv = [*TestMainEntry.ORDER_COMMANDS[command], "--m", str(order)]
+        if command == "compare":
+            return [*argv, "--scheme-a", scheme, "--scheme-b", scheme]
+        return [*argv, "--scheme", scheme, "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "compare"])
+    @pytest.mark.parametrize("scheme, order", [
+        ("dh_blind", 3), ("dh_intelligent", 3), ("ap_blind", 3), ("ap_intelligent", 3),
+        ("dh_blind", 8), ("dh_intelligent", 8), ("dh_blind", 9), ("dh_intelligent", 9),
+    ])
+    def test_order_without_a_constellation_is_usage_error(self, tmp_path, capsys, command, scheme, order):
+        """Every command refuses an order the link has no constellation for:
+        dual-hop links use BPSK or square QAM, access-point links power-of-two
+        M-PSK.  Nothing is written, and no command blames QAM for M = 3."""
+        rc = main(self.order_argv(command, scheme, order, tmp_path / "x.csv"))
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert ("QAM" in captured.err) == (order == 8)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "compare"])
+    def test_access_point_order_8_is_accepted(self, tmp_path, capsys, command):
+        rc = main(self.order_argv(command, "ap_intelligent", 8, tmp_path / "x.csv"))
+        assert rc == 0, capsys.readouterr().err
+
     def test_oversized_grid_is_usage_error(self, tmp_path, capsys, monkeypatch):
         import ris_linklab.cli as cli_mod
 

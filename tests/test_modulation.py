@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from ris_linklab.modulation import (
     Constellation,
     ConstellationKind,
+    _slice_phase,
     build_constellation,
+    check_order,
     detect_ml,
 )
 
@@ -72,6 +74,8 @@ class TestConstruction:
     def test_rejects_invalid_orders(self, kind, order):
         with pytest.raises(ValueError):
             build_constellation(kind, order)
+        with pytest.raises(ValueError):
+            check_order(kind, order)
 
 
 class TestGrayLabels:
@@ -285,6 +289,77 @@ class TestSlicerTies:
         zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
         for gain in (1.0, -1.0, 1j, -2 + 3j):
             assert np.array_equal(detect_ml(zeros, gain, c), [inner] * 4), gain
+
+
+class TestBinarySlicer:
+    """BPSK decides by the sign of Re(r * conj(g)), with no quotient and no angle."""
+
+    BPSK = build_constellation(ConstellationKind.PSK, 2)
+    SAMPLES = 1_000_000
+    BLOCK = 200_000
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 30.0])
+    @pytest.mark.parametrize("complex_gain", [False, True], ids=["real_gain", "complex_gain"])
+    def test_matches_the_angle_slicer(self, complex_gain, snr_db):
+        """Equal to the general slicer on r / g over 10**6 samples per case;
+        real gains take both signs."""
+        rng = np.random.default_rng(2025)
+        errors = 0
+        for _ in range(self.SAMPLES // self.BLOCK):
+            n = self.BLOCK
+            if complex_gain:
+                gain = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+            else:
+                gain = rng.standard_normal(n)
+            tx = rng.integers(0, 2, size=n)
+            noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(
+                10.0 ** (-snr_db / 10.0) / 2.0
+            )
+            received = gain * self.BPSK.points[tx] + noise
+            decided = detect_ml(received, gain, self.BPSK)
+            assert np.array_equal(decided, _slice_phase(received / gain, 2))
+            errors += np.count_nonzero(decided != tx)
+        assert 0 < errors < self.SAMPLES  # the cases see errors, not only hits
+
+    @pytest.mark.parametrize("gain", [1.0, -1.0, 1j, -1j, -2 + 3j])
+    def test_ties_decide_zero(self, gain):
+        """Samples on the quadrature axis (d == 0 exactly for these gains and
+        small integer scales) and the four signed zeros decide 0."""
+        quadrature = (gain * 1j) * np.array([1.0, -1.0, 2.0, -3.0, 0.5])
+        zeros = np.array([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
+        for samples in (quadrature, zeros):
+            assert np.array_equal(detect_ml(samples, gain, self.BPSK), np.zeros(len(samples))), samples
+            for z in samples:
+                assert detect_ml(z, gain, self.BPSK) == 0, (z, gain)
+
+    @pytest.mark.parametrize("gain", [0.0, -0.0, 0j, complex(-0.0, -0.0)])
+    def test_zero_gain_decides_zero(self, gain):
+        samples = np.array([1.0, -1.0, 1j, -1 - 1j, complex(-0.0, 0.0)])
+        assert np.array_equal(detect_ml(samples, gain, self.BPSK), np.zeros(5))
+        assert np.array_equal(detect_ml(samples, np.full(5, gain), self.BPSK), np.zeros(5))
+
+    def test_where_the_rules_part(self):
+        """Where |Re z| is below about 1e-16 |Im z|, atan2 rounds the angle to
+        exactly pi/2, so the angle slicer decides 0; the sample lies on the
+        side of -1, and the sign rule decides 1."""
+        z = complex(-1e-17, 1.0)
+        assert detect_ml(z, 1.0, self.BPSK) == 1
+        assert _slice_phase(np.array([z]), 2)[0] == 0
+
+    def test_shapes_and_dtype(self):
+        """Scalars give a 0-d intp array; other inputs give their broadcast shape."""
+        for received, gain, shape in [
+            (-0.5, 1.0, ()),
+            (0.5 + 1j, 2.0 - 1j, ()),
+            ([0.5, -0.5, 1j], 1.0, (3,)),
+            (np.ones((2, 1)), np.array([1.0, -1.0, 1j]), (2, 3)),
+            (np.ones((3, 1), complex), -np.ones((1, 4), complex), (3, 4)),
+            (np.ones((0, 2)), 1.0, (0, 2)),
+        ]:
+            decided = detect_ml(received, gain, self.BPSK)
+            assert isinstance(decided, np.ndarray) and decided.dtype == np.intp
+            assert decided.shape == shape
+        assert np.array_equal(detect_ml([[1.0], [-1.0]], [1.0, -2.0, 0.0], self.BPSK), [[0, 1, 0], [1, 0, 0]])
 
 
 @pytest.mark.parametrize("kind, order", SLICER_CASES)

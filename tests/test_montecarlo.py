@@ -16,7 +16,7 @@ from scipy.special import k0
 from scipy.stats import beta
 
 from ris_linklab.analytic import AnalyticModel, db_to_linear, sep_mpsk
-from ris_linklab.modulation import ConstellationKind, build_constellation, detect_ml
+from ris_linklab.modulation import ConstellationKind, _slice_phase, build_constellation, detect_ml
 from ris_linklab.montecarlo import (
     WORKERS_ENV_VAR,
     SweepPoint,
@@ -26,7 +26,7 @@ from ris_linklab.montecarlo import (
 )
 from ris_linklab.montecarlo import _chunk_counts, _resolve_workers
 from ris_linklab.rng import RngStream, standard_complex_normal
-from ris_linklab.schemes import Scheme, SchemeConfig
+from ris_linklab.schemes import Scheme, SchemeConfig, draw_gains
 
 import per_element
 from bench.oracles import qfunc
@@ -269,6 +269,32 @@ class TestKernelMatchesScalarPath:
             tx = stream.generator().integers(0, order, size=self.TRIALS)
             table = config.constellation.bit_distance_table
             assert (sym, bit) == (np.count_nonzero(tx), table[tx, 0].sum())
+
+
+    @pytest.mark.parametrize("scheme, snrs_db", [
+        (Scheme.DH_INTELLIGENT, (-16.0, -10.0, -4.0)),
+        (Scheme.AP_INTELLIGENT, (-14.0, -8.0, -2.0)),
+        (Scheme.DH_BLIND, (0.0, 10.0, 20.0)),
+        (Scheme.AP_BLIND, (0.0, 10.0, 20.0)),
+    ])
+    def test_binary_counts_match_the_angle_slicer(self, scheme, snrs_db):
+        """BPSK chunks: the kernel's counts equal those of the general M-PSK
+        slicer, z = r / g quantised by angle, on the same draws (the gains
+        of ``draw_gains``, then the symbols, then the noise)."""
+        n, trials = 4, 10_000
+        config = make_spec(scheme, n, [0.0]).config
+        const = config.constellation
+        for k, snr_db in enumerate(snrs_db):
+            stream = RngStream(41, k)
+            rng = stream.generator()
+            gain = draw_gains(scheme, n, rng, trials)
+            tx = rng.integers(0, 2, size=trials)
+            noise = standard_complex_normal(rng, trials) * np.sqrt(10.0 ** (-snr_db / 10.0))
+            received = gain * const.points[tx] + noise  # the kernel's operations, in its order
+            rx = _slice_phase(received / gain, 2)
+            sym, bit = _chunk_counts(config, snr_db, stream, trials)
+            assert 0 < sym < trials, snr_db
+            assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
 
 
 class TestWorkspace:
