@@ -324,7 +324,7 @@ class TestBinarySlicer:
     @pytest.mark.parametrize("gain", [1.0, -1.0, 1j, -1j, -2 + 3j])
     def test_ties_decide_zero(self, gain):
         """Samples on the quadrature axis (d == 0 exactly for these gains and
-        small integer scales) and the four signed zeros decide 0."""
+        scales) and the four signed zeros decide 0."""
         quadrature = (gain * 1j) * np.array([1.0, -1.0, 2.0, -3.0, 0.5])
         zeros = np.array([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
         for samples in (quadrature, zeros):

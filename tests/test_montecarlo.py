@@ -270,7 +270,6 @@ class TestKernelMatchesScalarPath:
             table = config.constellation.bit_distance_table
             assert (sym, bit) == (np.count_nonzero(tx), table[tx, 0].sum())
 
-
     @pytest.mark.parametrize("scheme, snrs_db", [
         (Scheme.DH_INTELLIGENT, (-16.0, -10.0, -4.0)),
         (Scheme.AP_INTELLIGENT, (-14.0, -8.0, -2.0)),
