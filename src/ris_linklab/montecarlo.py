@@ -11,15 +11,19 @@ probability zero.
 Each chunk draws from its own stream in a fixed order: the gain draws of
 :func:`~ris_linklab.schemes.draw_gains` (its docstring states them per
 scheme: blocked Exp(1) legs for the intelligent gains, made in float32 from
-raw SFC64 words, the exact low-dimensional laws for the blind ones), then
-the symbol indices, then the real and the imaginary noise blocks (one
-:func:`~ris_linklab.rng.standard_complex_normal` draw, scaled by sqrt(N0)).
-``tests/per_element.py`` holds the per-element channel the gains are tested
-against.  An intelligent leg is the midpoint of one of 2**31 equal cells of
-its uniform, so a deep fade is drawn from a lattice law: at N = 1 the
-rate of E F < t is within 2e-9 of Exp(1)'s (relative) at t = 1e-8 and
-3e-4 at t = 1e-9, and away from fades a float32 leg is within about
-1.1e-5 of its lattice value for E < 8 (``draw_gains`` gives the bounds).
+raw SFC64 words, the exact amplitude laws for the blind ones), then the
+symbol indices, then the noise, scaled by sqrt(N0): the real noise block
+only at M = 2, where the gain and the symbols are real; at M > 2 the real
+and then the imaginary block (one
+:func:`~ris_linklab.rng.standard_complex_normal` draw).  Every gain is a
+real amplitude: with circularly-symmetric noise, the receiver errs in law
+as it does against the complex gain.  ``tests/per_element.py`` holds the
+per-element channel the gains are tested against.  An intelligent leg is
+the midpoint of one of 2**31 equal cells of its uniform, so a deep fade is
+drawn from a lattice law: at N = 1 the rate of E F < t is within 2e-9 of
+Exp(1)'s (relative) at t = 1e-8 and 3e-4 at t = 1e-9, and away from fades
+a float32 leg is within about 1.1e-5 of its lattice value for E < 8
+(``draw_gains`` gives the bounds).
 
 Work is organized in fixed-size chunks.  Chunk ``k`` of grid point ``p``
 always consumes the stream ``(seed, p * 2**32 + k)``, and a point stops at
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modulation import detect_ml
-from .rng import RngStream, standard_complex_normal
+from .rng import RAYLEIGH_SCALE, RngStream, standard_complex_normal
 from .schemes import SchemeConfig, draw_gains
 
 WORKERS_ENV_VAR = "RIS_LINKLAB_THREADS"
@@ -188,23 +192,31 @@ def _chunk_counts(
     """Run one chunk of trials; return (symbol_errors, bit_errors).
 
     Draw order per chunk is fixed: the gain draws of ``draw_gains``, then
-    symbol indices, then the real and the imaginary noise blocks.  Only the
-    composite gain enters the received sample and the detector, so each
-    scheme draws the exact law of that gain.  The gain, noise and received
-    samples go into this thread's workspace (see :func:`_workspace`).
+    symbol indices, then the real noise block and, at M > 2 only, the
+    imaginary one.  Only the composite gain's amplitude enters the received
+    sample and the detector, so each scheme draws the exact law of that
+    amplitude.  At M = 2 the gain and the symbols are real, so the noise is
+    real too: its imaginary part would never enter the decision, and the
+    real block is the one a complex draw makes first, so the binary
+    intelligent chunks count what they did with complex noise.  The gain,
+    noise and received samples go into this thread's workspace (see
+    :func:`_workspace`).
     """
     rng = stream.generator()
     const = config.constellation
-    real_gain, complex_gain, noise, received = _workspace(trials)
+    gain, work, real_noise, noise, received = _workspace(trials)
 
-    gain = draw_gains(
-        config.scheme, config.n_reflectors, rng, trials,
-        out=real_gain if config.scheme.is_intelligent else complex_gain,
-    )
+    gain = draw_gains(config.scheme, config.n_reflectors, rng, trials, out=gain, work=work)
     tx = rng.integers(0, const.order, size=trials)
-    standard_complex_normal(rng, trials, out=noise)
+    if const.order == 2:  # the real part of the block below, value for value
+        noise = rng.standard_normal(trials, out=real_noise)
+        noise *= RAYLEIGH_SCALE
+        points, received = const.points.real, work
+    else:
+        standard_complex_normal(rng, trials, out=noise)
+        points = const.points
     noise *= np.sqrt(_noise_density(snr_db))
-    np.take(const.points, tx, out=received, mode="clip")  # tx is in range; "clip" skips a buffer
+    np.take(points, tx, out=received, mode="clip")  # tx is in range; "clip" skips a buffer
     np.multiply(gain, received, out=received)
     received += noise
     rx = detect_ml(received, gain, const)
@@ -214,17 +226,19 @@ def _chunk_counts(
 
 
 def _workspace(trials: int) -> tuple[np.ndarray, ...]:
-    """This thread's chunk buffers, ``trials`` long: the real (intelligent)
-    gain, then the complex blind gain, noise and received samples.
+    """This thread's chunk buffers, ``trials`` long: three real ones (the
+    gain; DH blind's Exp(1) block, then the real received samples at M = 2;
+    the real noise at M = 2), then two complex ones (the noise and the
+    received samples at M > 2).
 
     Each thread keeps one set, sized by the longest chunk it has run
     (560 kB at 10 000 trials), and a chunk overwrites what it uses.
     """
     buffers = getattr(_local, "buffers", None)
-    if buffers is None or buffers[0].size < trials:
-        buffers = _local.buffers = (np.empty(trials), np.empty((3, trials), np.complex128))
+    if buffers is None or buffers[0].shape[1] < trials:
+        buffers = _local.buffers = (np.empty((3, trials)), np.empty((2, trials), np.complex128))
     real, complex_ = buffers
-    return (real[:trials], *complex_[:, :trials])
+    return (*real[:, :trials], *complex_[:, :trials])
 
 
 def _resolve_workers(workers: int | None) -> int:

@@ -16,8 +16,10 @@ channel phases and cancels them) and a "blind" variant (it does not):
 
 The destination is assumed to know the composite scalar gain coherently in
 all four schemes; "blind" refers to the surface's channel knowledge, not the
-receiver's.  :func:`draw_gains` states the law of each composite gain once;
-the Monte Carlo kernel samples through it.  ``tests/per_element.py`` builds
+receiver's.  :func:`draw_gains` states the law of each composite gain's
+amplitude once, and the Monte Carlo kernel samples through it: under
+circularly-symmetric noise the receiver's errors depend on a gain only
+through its amplitude.  ``tests/per_element.py`` builds
 the same gains from explicit per-element channels and reflector phases.
 """
 
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modulation import Constellation, ConstellationKind
-from .rng import standard_complex_normal
 
 __all__ = ["Scheme", "SchemeConfig", "draw_gains"]
 
@@ -73,7 +74,12 @@ class SchemeConfig:
 
 
 def draw_gains(
-    scheme: Scheme, n: int, rng: np.random.Generator, trials: int, out: np.ndarray | None = None
+    scheme: Scheme,
+    n: int,
+    rng: np.random.Generator,
+    trials: int,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Composite gains of ``trials`` independent fast-fading realizations.
 
@@ -89,16 +95,17 @@ def draw_gains(
       (rows, N) block of E, the next ones F.
     * AP intelligent: ``B = sum(beta_i) = sum(sqrt(E_i))``; the same row
       blocks, each ``ceil(rows * N / 2)`` words for one (rows, N) block of E.
-    * DH blind: ``H = sqrt(X) * Z``; X ~ Gamma(N, 1), then Re Z and Im Z of
-      Z ~ CN(0, 1), each a block of ``trials``.  Given g,
-      ``sum(h_i g_i) ~ CN(0, |g|^2)`` and ``|g|^2 ~ Gamma(N, 1)``.
-    * AP blind: ``G = sqrt(N) * Z``; Re Z then Im Z.  ``sum(g_i) ~ CN(0, N)``.
+    * DH blind: ``|H| = sqrt(X * E)``; X ~ Gamma(N, 1), then E ~ Exp(1),
+      each a block of ``trials``.  Given g, ``H = sum(h_i g_i) ~ CN(0, |g|^2)``
+      with ``|g|^2 ~ Gamma(N, 1)``, and ``|H|^2 / |g|^2 ~ Exp(1)``.
+    * AP blind: ``|G| = sqrt(N * E)``; one Exp(1) block.  ``G = sum(g_i) ~ CN(0, N)``.
 
-    An int32 value s gives the leg E = -log1p(-U), U = |s + 1/2| * 2**-31,
-    computed in float32: U is the midpoint of one of 2**31 equal cells of
-    (0, 1), each of mass 2**-31.  U rounds to float32 exactly below 2**-8
-    (E < 0.0039), so there E is within 2 ulp of the lattice value and a
-    deep fade sees the lattice law: at N = 1, P(E F < t) is within 2e-9 of
+    In the intelligent draws an int32 value s gives the leg E = -log1p(-U),
+    U = |s + 1/2| * 2**-31, computed in float32: U is the midpoint of one
+    of 2**31 equal cells of (0, 1), each of mass 2**-31.  U rounds to
+    float32 exactly below 2**-8 (E < 0.0039), so there E is within 2 ulp of
+    the lattice value and a deep fade sees the lattice law: at N = 1,
+    P(E F < t) is within 2e-9 of
     1 - 2 sqrt(t) K1(2 sqrt(t)) (relative) at t = 1e-8 and 3e-4 at t = 1e-9,
     below which the lattice's smallest leg, 2**-32, sets the law.  Above,
     rounding U moves E by up to about 2**-25 e**E: relative errors are
@@ -109,20 +116,26 @@ def draw_gains(
     mass, where Exp(1) has 6.0e-8 above it.  The float32 amplitudes are
     summed per row in float64.
 
-    Intelligent gains are real and positive (float64); blind gains are
-    complex (complex128).  ``out``, if given, is an array of that dtype and
-    of length ``trials`` that receives them.  Raises ValueError for ``n < 1``.
+    Every gain is a real amplitude, as float64.  The blind draws drop the
+    phase of H or G: a coherent receiver with circularly-symmetric noise n
+    decides on ``r = g s + n`` as it does on
+    ``r exp(-j arg g) = |g| s + n exp(-j arg g)``, and ``n exp(-j arg g)``
+    has the law of n and is independent of g, so the counted errors keep
+    their law.  ``out``, if given, is a float64 array of length
+    ``trials`` that receives them; ``work``, if given, is another that DH
+    blind draws its Exp(1) block into.  Raises ValueError for ``n < 1``.
     """
     if n < 1:
         raise ValueError(f"n_reflectors must be >= 1, got {n}")
     if scheme.is_intelligent:
         return _amplitude_sums(rng, n, trials, 2 if scheme is Scheme.DH_INTELLIGENT else 1, out)
     if scheme is Scheme.DH_BLIND:
-        scale = np.sqrt(rng.standard_gamma(n, trials))
+        gains = rng.standard_gamma(n, trials, out=out)
+        gains *= rng.standard_exponential(trials, out=work)
     else:  # AP_BLIND
-        scale = np.sqrt(n)
-    gains = standard_complex_normal(rng, trials, out)
-    return np.multiply(scale, gains, out=gains)
+        gains = rng.standard_exponential(trials, out=out)
+        gains *= n
+    return np.sqrt(gains, out=gains)
 
 
 def _amplitude_sums(

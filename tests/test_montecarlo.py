@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import k0
-from scipy.stats import beta
+from scipy.stats import beta, norm
 
 from ris_linklab.analytic import AnalyticModel, db_to_linear, sep_mpsk
 from ris_linklab.modulation import ConstellationKind, _slice_phase, build_constellation, detect_ml
@@ -25,7 +25,7 @@ from ris_linklab.montecarlo import (
     run_sweep,
 )
 from ris_linklab.montecarlo import _chunk_counts, _resolve_workers
-from ris_linklab.rng import RngStream, standard_complex_normal
+from ris_linklab.rng import RAYLEIGH_SCALE, RngStream, standard_complex_normal
 from ris_linklab.schemes import Scheme, SchemeConfig, draw_gains
 
 import per_element
@@ -199,14 +199,27 @@ def intelligent_channel(scheme, n, seed):
     return draw_channel
 
 
+def receiver_noise(rng, order, trials, snr_db):
+    """The kernel's noise draws, scaled by sqrt(N0): at M = 2 one real block
+    of N(0, 1/2) values, the real part of CN(0, 1); otherwise CN(0, 1)."""
+    if order == 2:
+        noise = rng.standard_normal(trials) * RAYLEIGH_SCALE
+    else:
+        noise = standard_complex_normal(rng, trials)
+    return noise * np.sqrt(10.0 ** (-snr_db / 10.0))
+
+
 class TestKernelMatchesScalarPath:
     """The vectorized chunk kernel agrees with the per-element oracle.
 
     Each test replays one chunk's documented draw order: it turns the
     kernel's gain draws into a per-element channel (h, g) that carries that
-    gain, draws the symbols and the noise, forms the received samples from
-    the oracle's reflector phases and cascaded sum, and detects them with
-    the batched ``detect_ml`` against the oracle's composite gain.
+    gain's amplitude, draws the symbols and the noise, forms the received
+    samples from the oracle's reflector phases and cascaded sum, and
+    detects them with the batched ``detect_ml`` against the oracle's
+    composite gain.  The kernel works in the frame of the gain, so the
+    replay's noise is the kernel's noise turned by the gain's phase:
+    ``n g / |g|``, which has the law of n when n is circular.
     """
 
     TRIALS = 400
@@ -218,29 +231,33 @@ class TestKernelMatchesScalarPath:
         rng = stream.generator()
         h, g = draw_channel(rng, trials)
         tx = rng.integers(0, order, size=trials)
-        noise = standard_complex_normal(rng, trials) * np.sqrt(10.0 ** (-snr_db / 10.0))
+        gain = per_element.gain(scheme, h, g)
+        noise = receiver_noise(rng, order, trials, snr_db) * np.exp(1j * np.angle(gain))
         const = config.constellation
         received = per_element.received(scheme, h, g, const, tx, noise)
-        rx = detect_ml(received, per_element.gain(scheme, h, g), const)
+        rx = detect_ml(received, gain, const)
         assert 0 < sym < trials
         assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
 
+    @pytest.mark.parametrize("order", [2, 16])
     @pytest.mark.parametrize("scheme", [Scheme.DH_BLIND, Scheme.AP_BLIND])
-    def test_complex_channel_schemes(self, scheme):
-        """Blind schemes: the exact gain law, then symbols, then noise."""
+    def test_complex_channel_schemes(self, scheme, order):
+        """Blind schemes: the amplitude draws (DH: Gamma(N, 1), then Exp(1);
+        AP: Exp(1)) with a random phase, then symbols, then noise."""
         n, seed = 6, 21
 
         def draw_channel(rng, trials):
-            if scheme is Scheme.AP_BLIND:  # g_i = Z / sqrt(N), so sum(g_i) = sqrt(N) * Z
-                z = standard_complex_normal(rng, (trials, 1))
-                return np.ones((trials, n)), np.repeat(z / np.sqrt(n), n, axis=1)
-            # |g|^2 = X, and h carries Z along conj(g) / |g|: sum(h_i g_i) = sqrt(X) * Z
-            root_x = np.sqrt(rng.standard_gamma(n, (trials, 1)))
-            z = standard_complex_normal(rng, (trials, 1))
-            g = root_x / np.sqrt(n) * random_phases(seed, (trials, n))
-            return z * np.conj(g) / root_x, g
+            phase = random_phases(seed + 1, (trials, 1))
+            if scheme is Scheme.AP_BLIND:  # g_i = sqrt(E / N) e^(j phase), so |sum(g_i)| = sqrt(N E)
+                e = rng.standard_exponential((trials, 1))
+                return np.ones((trials, n)), np.repeat(np.sqrt(e / n) * phase, n, axis=1)
+            # |g|^2 = X, and h = sqrt(E) e^(j phase) conj(g) / |g|: |sum(h_i g_i)| = sqrt(X E)
+            x = rng.standard_gamma(n, (trials, 1))
+            e = rng.standard_exponential((trials, 1))
+            g = np.sqrt(x / n) * random_phases(seed, (trials, n))
+            return np.sqrt(e / x) * phase * np.conj(g), g
 
-        self.replay(scheme, n, 2, 2.0, seed, draw_channel)
+        self.replay(scheme, n, order, 2.0 if order == 2 else 14.0, seed, draw_channel)
 
     def test_amplitude_sampled_scheme(self):
         """DH intelligent: the amplitude draws, with random channel phases."""
@@ -260,7 +277,7 @@ class TestKernelMatchesScalarPath:
         """A zero gain makes every hypothesis tie: the kernel decides index 0."""
         import ris_linklab.montecarlo as mc
 
-        blocked = lambda scheme, n, rng, trials, out=None: per_element.gain(scheme, *np.zeros((2, trials, n), complex))
+        blocked = lambda scheme, n, rng, trials, out=None, work=None: np.zeros(trials)
         monkeypatch.setattr(mc, "draw_gains", blocked)
         for scheme, order in ((Scheme.DH_INTELLIGENT, 16), (Scheme.AP_BLIND, 8)):
             stream = RngStream(37, 0)
@@ -295,6 +312,92 @@ class TestKernelMatchesScalarPath:
             assert 0 < sym < trials, snr_db
             assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
 
+    @pytest.mark.parametrize("scheme, snr_db", [
+        (Scheme.DH_INTELLIGENT, -10.0),
+        (Scheme.AP_INTELLIGENT, -8.0),
+        (Scheme.DH_BLIND, 10.0),
+        (Scheme.AP_BLIND, 10.0),
+    ])
+    def test_binary_chunk_ends_with_the_real_noise_block(self, scheme, snr_db):
+        """At M = 2 a chunk draws the gains, the symbols and one real noise
+        block, the real part of the complex block drawn at M > 2, and nothing
+        after it: its counts equal those decided on the real part of
+        ``standard_complex_normal`` noise, and its generator's next words are
+        those a replay's generator draws after the real block."""
+        n, trials = 4, 10_000
+        generators = []
+
+        class Recorded(RngStream):
+            def generator(self):
+                generators.append(super().generator())
+                return generators[-1]
+
+        config = make_spec(scheme, n, [snr_db]).config
+        const = config.constellation
+        sym, bit = _chunk_counts(config, snr_db, Recorded(43, 0), trials)
+        rng = RngStream(43, 0).generator()
+        gain = draw_gains(scheme, n, rng, trials)
+        tx = rng.integers(0, 2, size=trials)
+        after_symbols = rng.bit_generator.state
+        noise = standard_complex_normal(rng, trials).real * np.sqrt(10.0 ** (-snr_db / 10.0))
+        rx = detect_ml(gain * const.points.real[tx] + noise, gain, const)
+        assert 0 < sym < trials
+        assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
+        rng.bit_generator.state = after_symbols
+        rng.standard_normal(trials)
+        next_words = [g.bit_generator.random_raw(4) for g in (generators[0], rng)]
+        assert np.array_equal(*next_words)
+
+
+class TestBlindAmplitudesMatchTheComplexChannel:
+    """The kernel's blind amplitude draws against the full complex channel.
+
+    For both blind schemes at N = 1 and 4 and at M = 2 and 16 (16-QAM for
+    DH, 16-PSK for AP), the kernel counts symbol errors over TRIALS trials,
+    and so does ``detect_ml`` on ``per_element``'s complex channel with
+    complex CN(0, N0) noise, against the complex composite gain.  A
+    two-sample binomial test (the z of the pooled proportion) holds the
+    eight cases together at a level of 1e-3 (Bonferroni).  SNRs put the
+    rates between 2e-2 and 0.15.
+    """
+
+    TRIALS = 200_000
+    CHUNK = 10_000
+    LEVEL = 1e-3
+    SNR_DB = {(1, 2): 10.0, (4, 2): 5.0, (1, 16): 20.0, (4, 16): 15.0}  # (N, M) -> Es/N0
+
+    def kernel_errors(self, config, snr_db):
+        return sum(
+            _chunk_counts(config, snr_db, RngStream(51, k), self.CHUNK)[0]
+            for k in range(self.TRIALS // self.CHUNK)
+        )
+
+    def channel_errors(self, config, snr_db):
+        scheme, n, const = config.scheme, config.n_reflectors, config.constellation
+        rng = RngStream(52).generator()
+        errors = 0
+        for _ in range(self.TRIALS // self.CHUNK):
+            h, g = per_element.channel(n, rng, self.CHUNK)
+            tx = rng.integers(0, const.order, size=self.CHUNK)
+            noise = standard_complex_normal(rng, self.CHUNK) * np.sqrt(10.0 ** (-snr_db / 10.0))
+            received = per_element.received(scheme, h, g, const, tx, noise)
+            errors += np.count_nonzero(detect_ml(received, per_element.gain(scheme, h, g), const) != tx)
+        return errors
+
+    def test_symbol_error_counts_agree(self):
+        cases = [(s, n, m) for s in (Scheme.DH_BLIND, Scheme.AP_BLIND) for n in (1, 4) for m in (2, 16)]
+        z_max = norm.isf(self.LEVEL / (2 * len(cases)))
+        rejected = {}
+        for scheme, n, order in cases:
+            snr_db = self.SNR_DB[n, order]
+            config = make_spec(scheme, n, [snr_db], order=order).config
+            a, b = self.kernel_errors(config, snr_db), self.channel_errors(config, snr_db)
+            pooled = (a + b) / (2 * self.TRIALS)
+            z = (a - b) / math.sqrt(2 * self.TRIALS * pooled * (1 - pooled))
+            if abs(z) >= z_max:
+                rejected[scheme.value, n, order] = (a, b, round(z, 2))
+        assert not rejected, f"|z| >= {z_max:.2f} (kernel errors, channel errors, z): {rejected}"
+
 
 class TestWorkspace:
     """Each thread reuses one set of chunk buffers; no result may depend on
@@ -304,7 +407,7 @@ class TestWorkspace:
         (Scheme.DH_BLIND, 4, 2, 8.0, 1, 3000),
         (Scheme.DH_BLIND, 4, 2, 8.0, 2, 1234),  # a short last chunk after a longer one
         (Scheme.AP_BLIND, 16, 16, 12.0, 3, 3000),  # another scheme and another order
-        (Scheme.DH_INTELLIGENT, 8, 16, -20.0, 4, 2500),  # a real gain after complex ones
+        (Scheme.DH_INTELLIGENT, 8, 16, -20.0, 4, 2500),  # an intelligent gain after blind ones
         (Scheme.AP_INTELLIGENT, 8, 8, -10.0, 5, 700),
         (Scheme.DH_BLIND, 16, 64, 20.0, 6, 3000),
     ]

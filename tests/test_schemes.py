@@ -168,8 +168,9 @@ class TestDrawGainsMatchesPerElementChannel:
     """The exact gain laws equal the per-element channel in distribution.
 
     Two-sample KS tests of ``draw_gains`` against the per-element oracle at
-    N = 1, 4, 16, 64: on Re, Im and |.|^2 for both blind schemes, and on the
-    gain itself (real and positive) for both intelligent schemes.  Each
+    N = 1, 4, 16, 64: for both blind schemes, the drawn amplitude and its
+    square against |H| and |H|^2 (|G| and |G|^2) of the per-element sum; for
+    both intelligent schemes, the gain itself (real and positive).  Each
     family is tested at a shared Bonferroni level of 1e-3.  The intelligent
     samples have INTELLIGENT_TRIALS > 65536 rows, so at every N they span
     more than one of the sampler's draw blocks.
@@ -180,7 +181,7 @@ class TestDrawGainsMatchesPerElementChannel:
     INTELLIGENT_TRIALS = 100_000
     ORACLE_ROWS = 10_000  # per-element trials per block, so memory stays small
     LEVEL = 1e-3
-    STATISTICS = {"re": np.real, "im": np.imag, "power": lambda z: np.abs(z) ** 2}
+    STATISTICS = {"amplitude": lambda a: a, "power": np.square}
 
     def per_element(self, scheme, n, k, trials=TRIALS):
         rng = RngStream(41, k).generator()
@@ -195,12 +196,14 @@ class TestDrawGainsMatchesPerElementChannel:
         assert not rejected, f"KS rejects at level {level:.1e}: {rejected}"
 
     def test_blind_laws_match_oracle(self):
+        """sqrt(X E) and sqrt(N E) against |sum(h_i g_i)| and |sum(g_i)|."""
         pvalues = {}
         for k, (scheme, n) in enumerate(
             (s, n) for s in (Scheme.DH_BLIND, Scheme.AP_BLIND) for n in self.SIZES
         ):
             exact = draw_gains(scheme, n, RngStream(40, k).generator(), self.TRIALS)
-            oracle = self.per_element(scheme, n, k)
+            assert exact.dtype == np.float64
+            oracle = np.abs(self.per_element(scheme, n, k))
             for name, stat in self.STATISTICS.items():
                 pvalues[scheme.value, n, name] = ks_2samp(stat(exact), stat(oracle)).pvalue
         self.assert_not_rejected(pvalues)
@@ -219,13 +222,14 @@ class TestDrawGainsMatchesPerElementChannel:
         self.assert_not_rejected(pvalues)
 
     def test_oracle_rejects_large_n_model_for_dh_blind(self):
-        """Power check: at small N the same test tells the DH cascade from
-        the CN(0, N) large-N model that the analytic engine uses."""
+        """Power check: at small N the same test tells the DH cascade's
+        amplitude from that of the CN(0, N) large-N model that the analytic
+        engine uses."""
         level = self.LEVEL / (2 * len(self.SIZES) * len(self.STATISTICS))
         for k, n in enumerate((1, 4, 16)):
             model = draw_gains(Scheme.AP_BLIND, n, RngStream(42, k).generator(), self.TRIALS)
-            oracle = self.per_element(Scheme.DH_BLIND, n, k)
-            assert ks_2samp(np.abs(model) ** 2, np.abs(oracle) ** 2).pvalue < level
+            oracle = np.abs(self.per_element(Scheme.DH_BLIND, n, k))
+            assert ks_2samp(model, oracle).pvalue < level
 
 
 class TestApDetectionStructure:
