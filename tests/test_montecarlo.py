@@ -239,11 +239,10 @@ class TestKernelMatchesScalarPath:
         assert 0 < sym < trials
         assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
 
-    @pytest.mark.parametrize("order", [2, 16])
     @pytest.mark.parametrize("scheme", [Scheme.DH_BLIND, Scheme.AP_BLIND])
-    def test_complex_channel_schemes(self, scheme, order):
-        """Blind schemes: the amplitude draws (DH: Gamma(N, 1), then Exp(1);
-        AP: Exp(1)) with a random phase, then symbols, then noise."""
+    def test_complex_channel_schemes(self, scheme):
+        """Blind schemes at M = 2 and 16: the amplitude draws (DH: Gamma(N, 1),
+        then Exp(1); AP: Exp(1)) with a random phase, then symbols, then noise."""
         n, seed = 6, 21
 
         def draw_channel(rng, trials):
@@ -257,7 +256,8 @@ class TestKernelMatchesScalarPath:
             g = np.sqrt(x / n) * random_phases(seed, (trials, n))
             return np.sqrt(e / x) * phase * np.conj(g), g
 
-        self.replay(scheme, n, order, 2.0 if order == 2 else 14.0, seed, draw_channel)
+        for order, snr_db in ((2, 2.0), (16, 14.0)):
+            self.replay(scheme, n, order, snr_db, seed, draw_channel)
 
     def test_amplitude_sampled_scheme(self):
         """DH intelligent: the amplitude draws, with random channel phases."""
@@ -381,7 +381,7 @@ class TestBlindAmplitudesMatchTheComplexChannel:
             tx = rng.integers(0, const.order, size=self.CHUNK)
             noise = standard_complex_normal(rng, self.CHUNK) * np.sqrt(10.0 ** (-snr_db / 10.0))
             received = per_element.received(scheme, h, g, const, tx, noise)
-            errors += np.count_nonzero(detect_ml(received, per_element.gain(scheme, h, g), const) != tx)
+            errors += int(np.count_nonzero(detect_ml(received, per_element.gain(scheme, h, g), const) != tx))
         return errors
 
     def test_symbol_error_counts_agree(self):
