@@ -173,7 +173,11 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise ValueError(f"SNR grid values must be finite, got start {start}, stop {stop}, step {step}")
     if step <= 0 or stop < start:
         raise ValueError("need snr step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
+    # Whole steps from start to stop.  The slack of a few ulps of the ends and
+    # of the quotient keeps the last point of a span of whole steps.
+    steps = (stop - start) / step
+    slack = 4 * sys.float_info.epsilon * (max(abs(start), abs(stop)) / step + steps)
+    count = math.floor(steps + slack) + 1
     if count >= STREAM_INDEX_LIMIT:
         raise ValueError(f"SNR grid has {count} points; it must have fewer than 2**32")
     return tuple(start + k * step for k in range(count))

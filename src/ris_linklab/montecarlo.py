@@ -12,9 +12,12 @@ Each chunk draws from its own stream in a fixed order: the gain draws of
 :func:`~ris_linklab.schemes.draw_gains` (its docstring states them per
 scheme: blocked Exp(1) legs for the intelligent gains, made in float32 from
 raw SFC64 words, the exact amplitude laws for the blind ones), then the
-symbol indices, then the noise, scaled by sqrt(N0): the real noise block
-only at M = 2, where the gain and the symbols are real; at M > 2 the real
-and then the imaginary block (one
+symbol indices, then the noise, scaled by sqrt(N0).  Each symbol is the
+low log2(M) bits of one 32-bit half of a raw SFC64 word, the low half of
+each word first, (trials + 1) // 2 words in all; M is a power of two, so
+the symbols are exactly uniform.  The noise is the real block only at
+M = 2, where the gain and the symbols are real; at M > 2 the real and then
+the imaginary block (one
 :func:`~ris_linklab.rng.standard_complex_normal` draw).  Every gain is a
 real amplitude: with circularly-symmetric noise, the receiver errs in law
 as it does against the complex gain.  ``tests/per_element.py`` holds the
@@ -192,10 +195,12 @@ def _chunk_counts(
     """Run one chunk of trials; return (symbol_errors, bit_errors).
 
     Draw order per chunk is fixed: the gain draws of ``draw_gains``, then
-    symbol indices, then the real noise block and, at M > 2 only, the
-    imaginary one.  Only the composite gain's amplitude enters the received
-    sample and the detector, so each scheme draws the exact law of that
-    amplitude.  At M = 2 the gain and the symbols are real, so the noise is
+    the symbol indices, then the real noise block and, at M > 2 only, the
+    imaginary one.  The symbols take ``(trials + 1) // 2`` raw words, read
+    as 32-bit halves, low half first, one half per symbol, whose low
+    log2(M) bits are the index.  Only the composite gain's amplitude enters
+    the received sample and the detector, so each scheme draws the exact
+    law of that amplitude.  At M = 2 the gain and the symbols are real, so the noise is
     real too: its imaginary part would never enter the decision, and the
     real block is the one a complex draw makes first, so the binary
     intelligent chunks count what they did with complex noise.  The gain,
@@ -207,7 +212,9 @@ def _chunk_counts(
     gain, work, real_noise, noise, received = _workspace(trials)
 
     gain = draw_gains(config.scheme, config.n_reflectors, rng, trials, out=gain, work=work)
-    tx = rng.integers(0, const.order, size=trials)
+    words = rng.bit_generator.random_raw((trials + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")[:trials]
+    tx = np.bitwise_and(halves, const.order - 1, dtype=np.intp)  # M is a power of two: uniform
     if const.order == 2:  # the real part of the block below, value for value
         noise = rng.standard_normal(trials, out=real_noise)
         noise *= RAYLEIGH_SCALE

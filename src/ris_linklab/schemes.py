@@ -36,8 +36,9 @@ __all__ = ["Scheme", "SchemeConfig", "draw_gains"]
 
 # Values per leg in one block of the intelligent draws (see draw_gains).
 _BLOCK_VALUES = 65536
-# The largest float32 below 1: the clamp on the legs' uniforms.
-_U_MAX = np.float32(1.0 - 2.0**-24)
+# The clamp on the legs' int32 words: |s| <= 2**31 - 65 rounds to float32 at most
+# 2**31 - 128, so U = |s + 1/2| * 2**-31 is at most 1 - 2**-24, the largest float32 below 1.
+_WORD_MAX = 2**31 - 65
 
 
 class Scheme(enum.Enum):
@@ -110,11 +111,14 @@ def draw_gains(
     below which the lattice's smallest leg, 2**-32, sets the law.  Above,
     rounding U moves E by up to about 2**-25 e**E: relative errors are
     about 4e-8 in the median, below 1.1e-5 for E < 8 and up to a few per
-    cent only in the top atoms.  The 129 words with |s| >= 2**31 - 64 round
-    to U = 1 and are clamped to 1 - 2**-24, where 254 more words round, so
-    the largest leg, 24 ln 2 = 16.64, carries 383 * 2**-32 = 8.9e-8 of
-    mass, where Exp(1) has 6.0e-8 above it.  The float32 amplitudes are
-    summed per row in float64.
+    cent only in the top atoms.  The words are clamped in place to
+    |s| <= 2**31 - 65 before the cast: the 129 words with |s| >= 2**31 - 64,
+    whose U would round to 1, take U = 1 - 2**-24, where 254 more words
+    round, so the largest leg, 24 ln 2 = 16.64, carries 383 * 2**-32 =
+    8.9e-8 of mass, where Exp(1) has 6.0e-8 above it.  The float32
+    amplitudes are summed per row in float64, exactly unless a term is
+    below about 2**-29 of its row's total (probability below 1e-10 per leg
+    at N = 1024), so the order of the additions does not matter.
 
     Every gain is a real amplitude, as float64.  The blind draws drop the
     phase of H or G: a coherent receiver with circularly-symmetric noise n
@@ -142,7 +146,9 @@ def _amplitude_sums(
     rng: np.random.Generator, n: int, trials: int, legs: int, out: np.ndarray | None
 ) -> np.ndarray:
     """Row sums of sqrt(E) (one leg) or sqrt(E * F) (two legs), drawn in the
-    row blocks of ``draw_gains`` from raw words (see :func:`_negative_exponentials`).
+    row blocks of ``draw_gains`` from raw words (see :func:`_negative_exponentials`),
+    each summed in float64 by ``einsum``, which reads the float32 rows without a
+    cast buffer.
     The float32 legs and one block of words stay within ``_BLOCK_VALUES``
     float64 values per leg, whatever ``trials``."""
     rows = max(1, _BLOCK_VALUES // n)
@@ -160,15 +166,19 @@ def _amplitude_sums(
         else:
             np.negative(amplitudes, out=amplitudes)
         np.sqrt(amplitudes, out=amplitudes)
-        amplitudes.reshape(-1, n).sum(axis=1, out=gains[start : start + len(amplitudes) // n])
+        sums = gains[start : start + len(amplitudes) // n]
+        np.einsum("ij->i", amplitudes.reshape(-1, n), dtype=np.float64, out=sums)
     return gains
 
 
 def _negative_exponentials(halves: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """-E = log1p(-U) in float32 from int32 words s, U = |s + 1/2| * 2**-31
-    clamped to at most 1 - 2**-24 (see ``draw_gains``)."""
-    np.add(halves, np.float32(0.5), out=out, dtype=np.float32)
+    """-E = log1p(-U) in float32 from int32 words s, U = |s + 1/2| * 2**-31,
+    with s first clamped in place to |s| <= 2**31 - 65 so that U is at most
+    1 - 2**-24 (see ``draw_gains``)."""
+    words = halves.reshape(-1)  # a view of an array; a copy of a scalar, which np.clip cannot write
+    np.clip(words, -_WORD_MAX, _WORD_MAX, out=words)
+    np.copyto(out, words.reshape(out.shape))
+    out += np.float32(0.5)
     np.absolute(out, out=out)
     out *= np.float32(-(2.0**-31))
-    np.maximum(out, -_U_MAX, out=out)
     return np.log1p(out, out=out)

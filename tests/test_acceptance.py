@@ -243,7 +243,9 @@ SIM_GRIDS_N64 = {
 # Criterion 6 holds each of its two families, the points and the schemes'
 # pooled totals, at this family-wise false-failure rate.
 SIM_FAMILY_RATE = 0.01
-SIM_MODEL_MARGIN = 0.10  # the Gaussian model's allowance at N = 64, relative
+SIM_MODEL_MARGIN = 0.10  # the model's allowance at N = 64, relative
+# The schemes whose model is approximate, and so get the allowance.
+SIM_APPROXIMATE_MODELS = (Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT, Scheme.DH_BLIND)
 
 
 def bonferroni_z(tests: int, rate: float = SIM_FAMILY_RATE) -> float:
@@ -259,17 +261,20 @@ def test_criterion_06_simulation_theory_agreement():
     Qualifying: simulated rate in [1e-5, 1e-1] with at least 200 symbol
     errors; each scheme needs at least 8 such points.  With p the model
     rate at a point of t trials and e errors, the point passes when
-    |e - t p| < max(z sqrt(t p (1 - p)), 0.10 t p): the SE is the model's,
+    |e - t p| < max(z sqrt(t p (1 - p)), m t p): the SE is the model's,
     not the simulated rate's.  z is Bonferroni over the K qualifying points
     of all four schemes, holding them together at a family-wise false-failure
-    rate of 1 %: z = 3.70 at K = 47.  The pooled test sums e and t p over a
-    scheme's qualifying points, with the summed variance and the same 10 %
-    allowance, at 1 % family-wise over the four schemes (z = 3.02).  It
+    rate of 1 %: z = 3.71 at K = 48.  The pooled test sums e and t p over a
+    scheme's qualifying points, with the summed variance and the same
+    allowance m, at 1 % family-wise over the four schemes (z = 3.02).  It
     sees a steady bias too small to fail any one point.  A point stops at
     an error count, not a trial count, but by Wald's identities
     E[e - t p] = 0 and Var(e - t p) = p (1 - p) E[t] all the same.  The
-    10 % covers the Gaussian model's error at N = 64 (it is exact for the
-    blind AP gain), not chance.
+    allowance m = 0.10 covers the model's error at N = 64, not chance, so
+    only the three schemes whose model is approximate get it: the Gaussian
+    law of the intelligent sums and the CN(0, N) law of the dual-hop
+    cascade.  For ap_blind, G = sum(g_i) ~ CN(0, N) exactly, so m = 0 and
+    its points and its pooled total are held to chance alone.
     """
     start = time.perf_counter()
     n = 64
@@ -285,14 +290,15 @@ def test_criterion_06_simulation_theory_agreement():
     z_point = bonferroni_z(sum(map(len, points.values())))
     z_pooled = bonferroni_z(len(points))
 
-    def tolerance(expected, variance, z):
-        return max(z * np.sqrt(variance), SIM_MODEL_MARGIN * expected)
+    def tolerance(expected, variance, z, margin):
+        return max(z * np.sqrt(variance), margin * expected)
 
     summaries = []
     for scheme, qualifying in points.items():
+        margin = SIM_MODEL_MARGIN if scheme in SIM_APPROXIMATE_MODELS else 0.0
         for point, exact in qualifying:
             expected = point.trials * exact
-            tol = tolerance(expected, expected * (1 - exact), z_point)
+            tol = tolerance(expected, expected * (1 - exact), z_point, margin)
             assert abs(point.symbol_errors - expected) < tol, (
                 f"{scheme.name} at {point.snr_db} dB: sim {point.ser:.3e} vs exact {exact:.3e} "
                 f"(tol {tol / point.trials:.3e}, {point.symbol_errors} errors)"
@@ -300,7 +306,7 @@ def test_criterion_06_simulation_theory_agreement():
         errors = sum(point.symbol_errors for point, _ in qualifying)
         expected = sum(point.trials * exact for point, exact in qualifying)
         variance = sum(point.trials * exact * (1 - exact) for point, exact in qualifying)
-        tol = tolerance(expected, variance, z_pooled)
+        tol = tolerance(expected, variance, z_pooled, margin)
         assert abs(errors - expected) < tol, (
             f"{scheme.name} pooled over {len(qualifying)} points: {errors} errors vs "
             f"{expected:.1f} expected (tol {tol:.1f})"

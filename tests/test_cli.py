@@ -16,10 +16,12 @@ from ris_linklab.analytic import AnalyticModel, db_to_linear, sep_upper_bound
 from ris_linklab.cli import (
     _ANALYTIC_BLOCK,
     CSV_HEADER,
+    FIGURES,
     CsvRow,
     _build_parser,
     _constellation_kind,
     _exact_sep,
+    _snr_grid,
     analytic_rows,
     compare,
     main,
@@ -224,6 +226,53 @@ class TestFigurePresets:
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_figure_preset("fig9", tmp_path / "x.csv")
+
+
+class TestSnrGrid:
+    """A grid holds every whole step from start to stop: a span of whole
+    steps keeps its last point through rounding, and no point lies a part
+    of a step past stop."""
+
+    @pytest.mark.parametrize("window, grid", [
+        ((0.0, 1.0, 0.6), (0.0, 0.6)),  # 1/0.6 = 1.67 steps used to round up to a 1.2 dB point
+        ((0.0, 1.0, 0.4), (0.0, 0.4, 0.8)),  # 2.5 steps rounded down
+        ((0.0, 0.3, 0.1), (0.0, 0.1, 0.2, 0.30000000000000004)),  # 0.3 / 0.1 = 2.9999999999999996
+        ((5.0, 5.0, 1.0), (5.0,)),
+    ])
+    def test_last_point_is_the_last_whole_step(self, window, grid):
+        assert _snr_grid(*window) == grid
+
+    def test_simulate_writes_no_point_past_stop(self, tmp_path):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--scheme", "dh_blind", "--n", "4", "--snr-start-db", "0",
+                "--snr-stop-db", "1", "--snr-step-db", "0.6", "--max-trials", "10000", "--out", str(out)]
+        assert main(argv) == 0
+        assert sorted({r.snr_db for r in read_rows(out)}) == [0.0, 0.6]
+
+    def test_shifted_fine_window_keeps_every_point(self):
+        """-60 to 0 dB by 0.1, shifted as the benchmark's analytic workload
+        shifts it (seed % 1000 thousandths of a step): 601 points each."""
+        for k in range(1000):
+            shift = k / 1000.0 * 0.1
+            assert len(_snr_grid(-60.0 + shift, 0.0 + shift, 0.1)) == 601, k
+
+    def test_preset_and_benchmark_windows_keep_their_points(self):
+        """Every preset's default window at 1 dB, and every window of the
+        benchmark's workloads gives the grid its checks expect."""
+        from bench.workloads import ANALYTIC_RANGE, ANALYTIC_STEP, FIG7_SNR, MARY_WINDOWS, grid
+
+        for series in FIGURES.values():
+            for _, _, _, (start, stop), *_ in series:
+                assert len(_snr_grid(start, stop, 1.0)) == stop - start + 1
+        windows = [FIG7_SNR, *MARY_WINDOWS.values()]
+        windows += [
+            (lo + shift, hi + shift, step)
+            for step in ANALYTIC_STEP.values()
+            for lo, hi in ANALYTIC_RANGE.values()
+            for shift in (k / 1000.0 * step for k in range(1000))
+        ]
+        for window in windows:
+            assert list(_snr_grid(*window)) == grid(*window), window
 
 
 class TestCompare:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import k0
-from scipy.stats import beta, norm
+from scipy.stats import beta, chi2, norm
 
 from ris_linklab.analytic import AnalyticModel, db_to_linear, sep_mpsk
 from ris_linklab.modulation import ConstellationKind, _slice_phase, build_constellation, detect_ml
@@ -199,6 +199,15 @@ def intelligent_channel(scheme, n, seed):
     return draw_channel
 
 
+def kernel_symbols(rng, order, trials):
+    """The kernel's symbol draw: one 32-bit half of a raw 64-bit word per
+    symbol, the low half of each word first, taken mod M (M is a power of
+    two, so that is its low log2(M) bits); the last word's high half is
+    unused when ``trials`` is odd."""
+    words = rng.bit_generator.random_raw((trials + 1) // 2)
+    return words.astype("<u8").view("<u4")[:trials] % order
+
+
 def receiver_noise(rng, order, trials, snr_db):
     """The kernel's noise draws, scaled by sqrt(N0): at M = 2 one real block
     of N(0, 1/2) values, the real part of CN(0, 1); otherwise CN(0, 1)."""
@@ -230,7 +239,7 @@ class TestKernelMatchesScalarPath:
         sym, bit = _chunk_counts(config, snr_db, stream, trials)
         rng = stream.generator()
         h, g = draw_channel(rng, trials)
-        tx = rng.integers(0, order, size=trials)
+        tx = kernel_symbols(rng, order, trials)
         gain = per_element.gain(scheme, h, g)
         noise = receiver_noise(rng, order, trials, snr_db) * np.exp(1j * np.angle(gain))
         const = config.constellation
@@ -283,7 +292,7 @@ class TestKernelMatchesScalarPath:
             stream = RngStream(37, 0)
             config = make_spec(scheme, 3, [0.0], order=order).config
             sym, bit = _chunk_counts(config, 0.0, stream, self.TRIALS)
-            tx = stream.generator().integers(0, order, size=self.TRIALS)
+            tx = kernel_symbols(stream.generator(), order, self.TRIALS)  # the stand-in draws nothing
             table = config.constellation.bit_distance_table
             assert (sym, bit) == (np.count_nonzero(tx), table[tx, 0].sum())
 
@@ -304,7 +313,7 @@ class TestKernelMatchesScalarPath:
             stream = RngStream(41, k)
             rng = stream.generator()
             gain = draw_gains(scheme, n, rng, trials)
-            tx = rng.integers(0, 2, size=trials)
+            tx = kernel_symbols(rng, 2, trials)
             noise = standard_complex_normal(rng, trials) * np.sqrt(10.0 ** (-snr_db / 10.0))
             received = gain * const.points[tx] + noise  # the kernel's operations, in its order
             rx = _slice_phase(received / gain, 2)
@@ -337,7 +346,7 @@ class TestKernelMatchesScalarPath:
         sym, bit = _chunk_counts(config, snr_db, Recorded(43, 0), trials)
         rng = RngStream(43, 0).generator()
         gain = draw_gains(scheme, n, rng, trials)
-        tx = rng.integers(0, 2, size=trials)
+        tx = kernel_symbols(rng, 2, trials)
         after_symbols = rng.bit_generator.state
         noise = standard_complex_normal(rng, trials).real * np.sqrt(10.0 ** (-snr_db / 10.0))
         rx = detect_ml(gain * const.points.real[tx] + noise, gain, const)
@@ -347,6 +356,80 @@ class TestKernelMatchesScalarPath:
         rng.standard_normal(trials)
         next_words = [g.bit_generator.random_raw(4) for g in (generators[0], rng)]
         assert np.array_equal(*next_words)
+
+    @pytest.mark.parametrize("scheme, order", [
+        (Scheme.DH_INTELLIGENT, 2), (Scheme.AP_INTELLIGENT, 4), (Scheme.DH_BLIND, 16), (Scheme.AP_BLIND, 64),
+    ])
+    def test_symbols_are_the_low_bits_of_the_half_words_after_the_gains(self, monkeypatch, scheme, order):
+        """A chunk draws the gains, then one raw 32-bit half-word per symbol,
+        then the noise, and nothing after it: the samples it detects equal,
+        bit for bit, those formed from symbols that are the low log2(M) bits
+        of the half-words drawn right after the gains (low half of each word
+        first), and its generator's next words are those after the noise.
+        An odd trial count leaves the last word's high half unused."""
+        import ris_linklab.montecarlo as mc
+
+        n, trials, snr_db = 4, 999, 10.0
+        detected, generators = [], []
+
+        def recorded(received, gain, const):
+            detected.append(received.copy())
+            return detect_ml(received, gain, const)
+
+        class Recorded(RngStream):
+            def generator(self):
+                generators.append(super().generator())
+                return generators[-1]
+
+        monkeypatch.setattr(mc, "detect_ml", recorded)
+        config = make_spec(scheme, n, [snr_db], order=order).config
+        _chunk_counts(config, snr_db, Recorded(45, 0), trials)
+        rng = RngStream(45, 0).generator()
+        gain = draw_gains(scheme, n, rng, trials)
+        words = rng.bit_generator.random_raw((trials + 1) // 2)
+        tx = words.astype("<u8").view("<u4")[:trials] & (order - 1)
+        noise = receiver_noise(rng, order, trials, snr_db)
+        points = config.constellation.points
+        assert np.array_equal(detected[0], gain * (points.real if order == 2 else points)[tx] + noise)
+        assert np.array_equal(*(g.bit_generator.random_raw(4) for g in (generators[0], rng)))
+
+
+class TestSymbolsAreUniform:
+    """The kernel's symbols are uniform over the M indices.
+
+    The symbols of CHUNKS chunks of dh_blind at N = 4 are read back from
+    the detector at 300 dB (N0 = 1e-30), where every chunk decides without
+    error, and a chi-square test of their counts holds M = 2, 16 and 256
+    (BPSK, 16-QAM, 256-QAM) together at a level of 1e-3 (Bonferroni).  A
+    draw that missed any index, such as the upper half at ``& (M // 2 - 1)``,
+    fails it at every M.
+    """
+
+    CHUNKS, TRIALS = 20, 10_000
+    LEVEL = 1e-3
+    ORDERS = (2, 16, 256)
+
+    def test_chi_square(self, monkeypatch):
+        import ris_linklab.montecarlo as mc
+
+        decided = []
+
+        def recorded(received, gain, const):
+            decided.append(detect_ml(received, gain, const))
+            return decided[-1]
+
+        monkeypatch.setattr(mc, "detect_ml", recorded)
+        pvalues = {}
+        for order in self.ORDERS:
+            config = make_spec(Scheme.DH_BLIND, 4, [300.0], order=order).config
+            decided.clear()
+            for k in range(self.CHUNKS):
+                assert _chunk_counts(config, 300.0, RngStream(47, k), self.TRIALS) == (0, 0)
+            counts = np.bincount(np.concatenate(decided), minlength=order)
+            expected = self.CHUNKS * self.TRIALS / order
+            pvalues[order] = chi2.sf(((counts - expected) ** 2 / expected).sum(), order - 1)
+        rejected = {m: p for m, p in pvalues.items() if p < self.LEVEL / len(self.ORDERS)}
+        assert not rejected, f"chi-square rejects uniform symbols: {rejected}"
 
 
 class TestBlindAmplitudesMatchTheComplexChannel:

@@ -250,6 +250,33 @@ class TestDrawGainsRejectsEmptySurfaces:
             draw_gains(scheme, n, RngStream(3).generator(), 10)
 
 
+class TestAmplitudeRowSums:
+    """The intelligent gains are float64 row sums of the float32 amplitudes
+    that ``draw_gains`` forms from its raw words.  A float64 sum of float32
+    terms is exact unless a term is below about 2**-29 of its row's total
+    (probability about 1e-10 per leg at N = 1024, far less at N = 64), so
+    the sampler's sums equal ``np.add.reduce`` over the legs in float64,
+    whatever order either adds in.  Each case spans three draw blocks."""
+
+    @pytest.mark.parametrize("n", [1, 4, 64, 1024])
+    @pytest.mark.parametrize("scheme", [Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT])
+    def test_equal_float64_reduction(self, scheme, n):
+        legs, rows = (2 if scheme is Scheme.DH_INTELLIGENT else 1), max(1, 65536 // n)
+        trials = 2 * rows + 5
+        gains = draw_gains(scheme, n, RngStream(61, n).generator(), trials)
+        rng = RngStream(61, n).generator()
+        sums = []
+        for start in range(0, trials, rows):
+            shape = (legs, min(rows, trials - start), n)
+            values = int(np.prod(shape))
+            words = rng.bit_generator.random_raw((values + 1) // 2)
+            halves = words.astype("<u8").view("<i4")[:values].reshape(shape)
+            negative = _negative_exponentials(halves, np.empty(shape, np.float32))
+            amplitudes = np.sqrt(negative[0] * negative[1] if legs == 2 else -negative[0])
+            sums.append(np.add.reduce(amplitudes.astype(np.float64), axis=1))
+        assert np.array_equal(gains, np.concatenate(sums))
+
+
 HALF = 2**31  # int32 words s >= 0 and s < 0 each number 2**31
 
 
