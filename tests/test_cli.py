@@ -234,8 +234,8 @@ class TestSnrGrid:
     of a step past stop."""
 
     @pytest.mark.parametrize("window, grid", [
-        ((0.0, 1.0, 0.6), (0.0, 0.6)),  # 1/0.6 = 1.67 steps used to round up to a 1.2 dB point
-        ((0.0, 1.0, 0.4), (0.0, 0.4, 0.8)),  # 2.5 steps rounded down
+        ((0.0, 1.0, 0.6), (0.0, 0.6)),  # 1.67 steps: no point at 1.2 dB
+        ((0.0, 1.0, 0.4), (0.0, 0.4, 0.8)),  # 2.5 steps
         ((0.0, 0.3, 0.1), (0.0, 0.1, 0.2, 0.30000000000000004)),  # 0.3 / 0.1 = 2.9999999999999996
         ((5.0, 5.0, 1.0), (5.0,)),
     ])
