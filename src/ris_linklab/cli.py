@@ -7,8 +7,11 @@ Results are written as long-format CSV with the fixed header
 where ``metric`` is one of ``ber``, ``ser`` (simulation) or ``sep_exact``,
 ``sep_bound`` (analytic; the trailing columns are left empty).  Every float
 is printed with 17 significant digits so re-parsing reproduces the
-in-memory values exactly.  Alongside each CSV a small matplotlib script is
-generated; the tool itself renders nothing.
+in-memory values exactly.  Rows go from the engines to the file as series
+blocks (CsvRows): one (scheme, N, M) over a stretch of the SNR grid, each
+written by one string format, with the bytes a row-at-a-time writer gives.
+Alongside each CSV a small matplotlib script is generated; the tool itself
+renders nothing.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -19,8 +22,10 @@ import argparse
 import csv
 import math
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +58,11 @@ FIGURES = {
 }
 FIGURE_PRESETS = tuple(FIGURES)
 
-# Grid points per AnalyticModel in analytic_rows: large enough to amortise
-# the per-call cost, small enough that the (points x nodes) temporaries stay
-# a few hundred kB (whole 601-point grids at once raised the peak RSS of an
-# analytic --bound job over four N from 80 to 85 MB).
+# Grid points per AnalyticModel and per row block in analytic_rows: large
+# enough to amortise the per-call cost, small enough that the (points x nodes)
+# temporaries stay a few hundred kB (whole 601-point grids at once raised the
+# peak RSS of a process running analytic --bound for every scheme and M over
+# four N from 32 to 36 MB).
 _ANALYTIC_BLOCK = 64
 
 M_HELP = (
@@ -64,7 +70,7 @@ M_HELP = (
     "(4, 16, 64, ...), access-point links M-PSK"
 )
 
-__all__ = ["main", "run_figure_preset", "compare", "write_rows", "read_rows", "CsvRow"]
+__all__ = ["main", "run_figure_preset", "compare", "write_rows", "read_rows", "CsvRow", "CsvRows"]
 
 
 @dataclass(slots=True)
@@ -80,33 +86,113 @@ class CsvRow:
     stderr: float | None = None
 
 
-def write_rows(rows: list[CsvRow], path: Path) -> None:
-    """Write rows under CSV_HEADER: floats with 17 significant digits, None as
-    an empty field.  Scheme and metric names go unquoted: no commas or quotes."""
+@dataclass(frozen=True, slots=True)
+class _Block:
+    """The rows of one series (scheme, N, M) over a stretch of its SNR grid,
+    SNR-major: at each SNR one row per metric.  ``value`` holds one column
+    over the stretch per metric; so do ``trials``, ``errors`` and ``stderr``,
+    or they are None where the field is left empty."""
+
+    scheme: str
+    n: int
+    m: int
+    snr_db: Sequence[float]
+    metrics: tuple[str, ...]
+    value: tuple[Sequence[float], ...]
+    trials: tuple[Sequence[int], ...] | None = None
+    errors: tuple[Sequence[int], ...] | None = None
+    stderr: tuple[Sequence[float], ...] | None = None
+
+    @classmethod
+    def of_row(cls, r: CsvRow) -> _Block:
+        column = lambda x: None if x is None else ((x,),)
+        return cls(r.scheme, r.n, r.m, (r.snr_db,), (r.metric,), ((r.value,),),
+                   column(r.trials), column(r.errors), column(r.stderr))
+
+    def __len__(self) -> int:
+        return len(self.snr_db) * len(self.metrics)
+
+    def __iter__(self) -> Iterator[CsvRow]:
+        fields = (self.value, self.trials, self.errors, self.stderr)
+        for i, db in enumerate(self.snr_db):
+            for j, metric in enumerate(self.metrics):
+                yield CsvRow(self.scheme, self.n, self.m, db, metric,
+                             *(None if f is None else f[j][i] for f in fields))
+
+    def text(self, snr_text: dict) -> str:
+        """The block's CSV lines: one template line per metric, repeated once
+        per SNR and filled by one ``%``.  ``snr_text`` holds the SNR texts
+        already formatted for the file."""
+        fields = ((self.value, "%.17g"), (self.trials, "%s"), (self.errors, "%s"), (self.stderr, "%.17g"))
+        tail = ",".join("" if f is None else fmt for f, fmt in fields)
+        prefix = f"{self.scheme},{self.n},{self.m},".replace("%", "%%")
+        template = "".join(f"{prefix}%s,{metric.replace('%', '%%')},{tail}\n" for metric in self.metrics)
+        columns = [f for f, _ in fields if f is not None]
+        width = 1 + len(columns)  # the SNR, then each filled column
+        stride = width * len(self.metrics)
+        args = [None] * (stride * len(self.snr_db))
+        texts = _snr_texts(self.snr_db, snr_text)
+        for j in range(len(self.metrics)):
+            args[j * width :: stride] = texts
+            for c, column in enumerate(columns, j * width + 1):
+                args[c::stride] = column[j]
+        return (template * len(self.snr_db)) % tuple(args)
+
+
+def _snr_texts(snr_db: Sequence[float], cache: dict) -> list[str]:
+    """Each SNR as ``%.17g``, formatted once per cache."""
+    texts = list(map(cache.get, snr_db))
+    if None in texts:
+        for i, text in enumerate(texts):
+            if text is None:
+                db = snr_db[i]
+                texts[i] = text = "%.17g" % db
+                if db:  # 0.0 == -0.0 as keys, but they print as 0 and -0
+                    cache[db] = text
+    return texts
+
+
+class CsvRows:
+    """CSV rows held as series blocks (see _Block), with no object per row:
+    ``len`` counts the rows, iterating yields each as a CsvRow, ``+=`` appends
+    the rows of another CsvRows or of an iterable of CsvRow, and it compares
+    equal to a list of the same rows."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks=()):
+        self.blocks = list(blocks)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.blocks))
+
+    def __iter__(self) -> Iterator[CsvRow]:
+        return chain.from_iterable(self.blocks)
+
+    def __iadd__(self, rows: CsvRows | Iterable[CsvRow]) -> CsvRows:
+        self.blocks += _blocks(rows)
+        return self
+
+    def __eq__(self, other):
+        if isinstance(other, (CsvRows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _blocks(rows: CsvRows | Iterable[CsvRow]) -> Iterable[_Block]:
+    return rows.blocks if isinstance(rows, CsvRows) else map(_Block.of_row, rows)
+
+
+def write_rows(rows: CsvRows | Iterable[CsvRow], path: Path) -> None:
+    """Write rows under CSV_HEADER, one block at a time: floats with 17
+    significant digits, None as an empty field.  Each CsvRow of a plain
+    iterable is written as a one-row block.  Scheme and metric names go
+    unquoted: no commas or quotes."""
+    snr_text = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        fh.writelines(_lines(rows))
-
-
-def _lines(rows):
-    """One CSV line per row, streamed.  A series' ``scheme,N,M,`` prefix is
-    formatted when its objects change (identity, not equality: 16 == 16.0
-    but they print differently), and each nonzero SNR's text once per file."""
-    scheme = n = m = prefix = None
-    snr_text = {}
-    for r in rows:
-        if r.scheme is not scheme or r.n is not n or r.m is not m:
-            scheme, n, m = r.scheme, r.n, r.m
-            prefix = f"{scheme},{n},{m},"
-        if not r.snr_db:  # 0.0 == -0.0 as dict keys, but they print as 0 and -0
-            snr = format(float(r.snr_db), ".17g")
-        elif (snr := snr_text.get(r.snr_db)) is None:
-            snr = snr_text[r.snr_db] = format(float(r.snr_db), ".17g")
-        yield (
-            f"{prefix}{snr},{r.metric},{float(r.value):.17g},"
-            f"{'' if r.trials is None else r.trials},{'' if r.errors is None else r.errors},"
-            f"{'' if r.stderr is None else format(float(r.stderr), '.17g')}\n"
-        )
+        for block in _blocks(rows):
+            fh.write(block.text(snr_text))
 
 
 def read_rows(path: Path) -> list[CsvRow]:
@@ -177,7 +263,7 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     # of the quotient keeps the last point of a span of whole steps.
     steps = (stop - start) / step
     slack = 4 * sys.float_info.epsilon * (max(abs(start), abs(stop)) / step + steps)
-    count = math.floor(steps + slack) + 1
+    count = math.floor(steps + slack) + 1 if math.isfinite(steps + slack) else math.inf
     if count >= STREAM_INDEX_LIMIT:
         raise ValueError(f"SNR grid has {count} points; it must have fewer than 2**32")
     return tuple(start + k * step for k in range(count))
@@ -204,24 +290,24 @@ def analytic_rows(
     grid_db,
     nodes: int = 256,
     include_bound: bool = False,
-) -> list[CsvRow]:
+) -> CsvRows:
     """Exact (and optionally bounded) SEP rows over an SNR grid.
 
     The grid is evaluated in blocks of _ANALYTIC_BLOCK points, one
-    AnalyticModel each; every value equals the one-point evaluation.
+    AnalyticModel and one row block each; every value equals the one-point
+    evaluation.
     """
     kind = _constellation_kind(scheme, order)
-    name, grid_db = scheme.value, list(grid_db)
-    rows = []
+    metrics = ("sep_exact", "sep_bound") if include_bound else ("sep_exact",)
+    grid_db = list(grid_db)
+    rows = CsvRows()
     for start in range(0, len(grid_db), _ANALYTIC_BLOCK):
         block = grid_db[start : start + _ANALYTIC_BLOCK]
         model = AnalyticModel(scheme, n, np.array([db_to_linear(db) for db in block]))
-        exact = _exact_sep(model, order, kind, nodes).tolist()
-        bound = analytic.sep_upper_bound(model, order, kind).tolist() if include_bound else None
-        for i, db in enumerate(block):
-            rows.append(CsvRow(name, n, order, db, "sep_exact", exact[i]))
-            if include_bound:
-                rows.append(CsvRow(name, n, order, db, "sep_bound", bound[i]))
+        value = [_exact_sep(model, order, kind, nodes).tolist()]
+        if include_bound:
+            value.append(analytic.sep_upper_bound(model, order, kind).tolist())
+        rows.blocks.append(_Block(scheme.value, n, order, block, metrics, tuple(value)))
     return rows
 
 
@@ -233,8 +319,8 @@ def simulation_rows(
     seed: int,
     max_trials: int,
     min_errors: int,
-) -> list[CsvRow]:
-    """BER and SER rows from a Monte Carlo sweep."""
+) -> CsvRows:
+    """BER and SER rows from a Monte Carlo sweep, as one row block."""
     kind = _constellation_kind(scheme, order)
     config = SchemeConfig(
         scheme=scheme,
@@ -248,13 +334,15 @@ def simulation_rows(
         min_errors=min_errors,
         seed=seed,
     )
-    rows = []
-    for p in run_sweep(spec):
-        for metric, value, errors in (("ber", p.ber, p.bit_errors), ("ser", p.ser, p.symbol_errors)):
-            rows.append(
-                CsvRow(scheme.value, n, order, p.snr_db, metric, value, p.trials, errors, p.stderr(metric))
-            )
-    return rows
+    points = run_sweep(spec)
+    trials = [p.trials for p in points]
+    return CsvRows([_Block(
+        scheme.value, n, order, [p.snr_db for p in points], ("ber", "ser"),
+        value=([p.ber for p in points], [p.ser for p in points]),
+        trials=(trials, trials),
+        errors=([p.bit_errors for p in points], [p.symbol_errors for p in points]),
+        stderr=([p.stderr("ber") for p in points], [p.stderr("ser") for p in points]),
+    )])
 
 
 def run_figure_preset(
@@ -270,7 +358,7 @@ def run_figure_preset(
     if name not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_PRESETS}")
 
-    rows: list[CsvRow] = []
+    rows = CsvRows()
     for scheme, n, order, window, simulate, curve, bound in FIGURES[name]:
         grid = snr_override or _snr_grid(*window, 1.0)
         if simulate:
@@ -306,12 +394,13 @@ def compare(
     )
 
 
-def _write_csv(rows: list[CsvRow], path: Path) -> Path:
+def _write_csv(rows: CsvRows, path: Path) -> Path:
     """Write rows and their plot script, refusing any non-finite value;
     returns the script's path."""
-    for r in rows:
-        if not math.isfinite(r.value):
-            raise ArithmeticError(f"non-finite result for {r}")
+    for block in rows.blocks:
+        if not all(np.isfinite(column).all() for column in block.value):
+            bad = next(r for r in block if not math.isfinite(r.value))
+            raise ArithmeticError(f"non-finite result for {bad}")
     write_rows(rows, path)
     return write_plot_script(path)
 
@@ -389,7 +478,7 @@ def main(argv=None) -> int:
     try:
         if args.command in ("analytic", "simulate"):
             grid = _snr_grid(args.snr_start_db, args.snr_stop_db, args.snr_step_db)
-            rows = []
+            rows = CsvRows()
             for n in args.n:
                 if args.command == "analytic":
                     rows += analytic_rows(args.scheme, n, args.m, grid, args.nodes, include_bound=args.bound)

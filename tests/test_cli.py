@@ -90,19 +90,29 @@ class TestCsvSchema:
         assert analytic_rows(scheme, 64, 16, grid, include_bound=True) == expected
 
     def test_writer_bytes_match_csv_module(self, tmp_path):
-        """write_rows writes the bytes of a csv.writer reference, on awkward values too."""
-        rows = analytic_rows(Scheme.AP_BLIND, 4, 16, [-1.5, 0.0], include_bound=True)
-        rows += simulation_rows(Scheme.DH_BLIND, 2, 4, [0.0], seed=1, max_trials=10_000, min_errors=50)
+        """write_rows writes the bytes of a csv.writer reference, on awkward
+        values too, whether it is given the row blocks or a list of the rows."""
+        grid = [-0.0, *(-30.0 + 0.5 * k for k in range(100))]  # 0.0 at k = 60
+        assert len(grid) > _ANALYTIC_BLOCK and 0.0 in grid[1:]
+        rows = analytic_rows(Scheme.AP_BLIND, 4, 16, grid, include_bound=True)
+        rows += analytic_rows(Scheme.DH_INTELLIGENT, 16, 16, grid, include_bound=True)
+        rows += analytic_rows(Scheme.AP_BLIND, 4, 16, [-1.5, 0.0], include_bound=True)
+        rows += simulation_rows(Scheme.DH_BLIND, 2, 4, [-0.0, 3.0], seed=1, max_trials=10_000, min_errors=50)
         rows += [
             CsvRow("dh_blind", 4, 2, -0.0, "sep_exact", 5e-324),  # -0.0, a subnormal, None columns
             CsvRow("ap_intelligent", 10**20, 2, 10**20, "ber", np.float32(0.1), 10**20, 3, np.float32(2.5e-3)),
             CsvRow("dh_intelligent", np.int64(8), 4, -7.25, "ser", 0.0, 10_000, 0, 0.0),
             CsvRow("dh_intelligent", 8.0, 4, -7.25, "ser", 0.0, 10_000, 0, 0.0),  # == 8, prints 8.0
         ]
-        out = tmp_path / "rows.csv"
-        write_rows(rows, out)
-        assert out.read_bytes() == csv_module_bytes(rows, tmp_path / "reference.csv")
-        assert b",-0,sep_exact,4.9406564584124654e-324,,,\n" in out.read_bytes()
+        assert len(rows) == 2 * 2 * len(grid) + 4 + 4 + 4
+        assert all(isinstance(r, CsvRow) for r in rows)
+        reference = csv_module_bytes(rows, tmp_path / "reference.csv")
+        for name, given in (("rows.csv", rows), ("list.csv", list(rows))):
+            write_rows(given, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == reference, name
+        for line in (b"ap_blind,4,16,-0,sep_bound,", b"dh_intelligent,16,16,0,sep_exact,",
+                     b"dh_blind,2,4,-0,ser,", b",-0,sep_exact,4.9406564584124654e-324,,,\n"):
+            assert line in reference
 
     def test_signed_zero_snr_keeps_its_sign(self, tmp_path):
         """0.0 == -0.0, so a cache keyed by SNR value could print one as the
@@ -441,12 +451,19 @@ class TestMainEntry:
         # a lowered limit keeps the test from building a 2**32-point grid
         # if the check were ever lost
         monkeypatch.setattr(cli_mod, "STREAM_INDEX_LIMIT", 6)
-        rc = main([
-            "simulate", "--scheme", "dh_blind", "--n", "4", "--snr-start-db", "0",
-            "--snr-stop-db", "10", "--snr-step-db", "2", "--out", str(tmp_path / "x.csv"),
-        ])
-        assert rc == 1
-        assert "SNR grid has 6 points" in capsys.readouterr().err
+        cases = [
+            ("simulate", "0", "10", "2", "6"),
+            ("analytic", "0", "1", "5e-324", "inf"),  # the step count overflows a float
+            ("analytic", "-1e308", "1e308", "1", "inf"),  # so does the span
+        ]
+        for command, start, stop, step, points in cases:
+            rc = main([
+                command, "--scheme", "dh_blind", "--n", "4", f"--snr-start-db={start}",
+                f"--snr-stop-db={stop}", f"--snr-step-db={step}", "--out", str(tmp_path / "x.csv"),
+            ])
+            assert rc == 1, (command, step)
+            assert f"SNR grid has {points} points" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
 
     def test_budget_of_2_pow_32_chunks_is_usage_error(self, tmp_path, capsys):
         rc = main([
@@ -517,6 +534,27 @@ class TestMainEntry:
         monkeypatch.setattr(cli_mod, "run_figure_preset", broken_preset)
         rc = main(["figure", "fig2", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_non_finite_value_exits_two_naming_its_row(self, tmp_path, monkeypatch, capsys):
+        """NaNs in one block of analytic values are refused before anything is
+        written, and the message names the first row that holds one."""
+        import ris_linklab.cli as cli_mod
+
+        exact = cli_mod._exact_sep
+
+        def nan_from_10_db(model, order, kind, nodes):
+            values = exact(model, order, kind, nodes)
+            return np.where((model.n_reflectors == 16) & (model.snr >= 10.0), np.nan, values)
+
+        monkeypatch.setattr(cli_mod, "_exact_sep", nan_from_10_db)
+        rc = main(["analytic", "--scheme", "dh_blind", "--n", "4", "16", "--snr-start-db", "-60",
+                   "--snr-stop-db", "20", "--bound", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite result for CsvRow(scheme='dh_blind', n=16, m=2, snr_db=10.0, "
+            "metric='sep_exact', value=nan, trials=None, errors=None, stderr=None)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_converging_inversion_exits_two(self, monkeypatch, capsys):
         """The root finder giving up is a numerical failure, not a traceback."""
