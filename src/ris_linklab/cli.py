@@ -86,22 +86,30 @@ class CsvRow:
     stderr: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
 class _Block:
     """The rows of one series (scheme, N, M) over a stretch of its SNR grid,
     SNR-major: at each SNR one row per metric.  ``value`` holds one column
-    over the stretch per metric; so do ``trials``, ``errors`` and ``stderr``,
-    or they are None where the field is left empty."""
+    over the stretch per metric, a list or a float array; so do ``trials``,
+    ``errors`` and ``stderr``, or they are None where the field is left
+    empty.  A plain class, as a frozen dataclass would add 0.7 ms to each
+    import of this module."""
 
-    scheme: str
-    n: int
-    m: int
-    snr_db: Sequence[float]
-    metrics: tuple[str, ...]
-    value: tuple[Sequence[float], ...]
-    trials: tuple[Sequence[int], ...] | None = None
-    errors: tuple[Sequence[int], ...] | None = None
-    stderr: tuple[Sequence[float], ...] | None = None
+    __slots__ = ("scheme", "n", "m", "snr_db", "metrics", "value", "trials", "errors", "stderr")
+
+    def __init__(
+        self,
+        scheme: str,
+        n: int,
+        m: int,
+        snr_db: Sequence[float],
+        metrics: tuple[str, ...],
+        value: tuple[Sequence[float], ...],
+        trials: tuple[Sequence[int], ...] | None = None,
+        errors: tuple[Sequence[int], ...] | None = None,
+        stderr: tuple[Sequence[float], ...] | None = None,
+    ) -> None:
+        self.scheme, self.n, self.m, self.snr_db, self.metrics = scheme, n, m, snr_db, metrics
+        self.value, self.trials, self.errors, self.stderr = value, trials, errors, stderr
 
     @classmethod
     def of_row(cls, r: CsvRow) -> _Block:
@@ -113,7 +121,10 @@ class _Block:
         return len(self.snr_db) * len(self.metrics)
 
     def __iter__(self) -> Iterator[CsvRow]:
-        fields = (self.value, self.trials, self.errors, self.stderr)
+        fields = [
+            None if f is None else [_items(column) for column in f]
+            for f in (self.value, self.trials, self.errors, self.stderr)
+        ]
         for i, db in enumerate(self.snr_db):
             for j, metric in enumerate(self.metrics):
                 yield CsvRow(self.scheme, self.n, self.m, db, metric,
@@ -135,8 +146,13 @@ class _Block:
         for j in range(len(self.metrics)):
             args[j * width :: stride] = texts
             for c, column in enumerate(columns, j * width + 1):
-                args[c::stride] = column[j]
+                args[c::stride] = _items(column[j])
         return (template * len(self.snr_db)) % tuple(args)
+
+
+def _items(column: Sequence) -> Sequence:
+    """A column's values as Python objects: an array's through ``tolist``."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _snr_texts(snr_db: Sequence[float], cache: dict) -> list[str]:
@@ -304,9 +320,9 @@ def analytic_rows(
     for start in range(0, len(grid_db), _ANALYTIC_BLOCK):
         block = grid_db[start : start + _ANALYTIC_BLOCK]
         model = AnalyticModel(scheme, n, np.array([db_to_linear(db) for db in block]))
-        value = [_exact_sep(model, order, kind, nodes).tolist()]
+        value = [_exact_sep(model, order, kind, nodes)]
         if include_bound:
-            value.append(analytic.sep_upper_bound(model, order, kind).tolist())
+            value.append(analytic.sep_upper_bound(model, order, kind))
         rows.blocks.append(_Block(scheme.value, n, order, block, metrics, tuple(value)))
     return rows
 
