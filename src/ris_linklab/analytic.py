@@ -3,14 +3,12 @@
 For each scheme the instantaneous received SNR admits a moment generating
 function under a Gaussian (large-N) model of the composite channel gain:
 
-* DH intelligent:  gain A = sum(alpha_i beta_i), A ~ N(N*pi/4, N*(1 - pi^2/16)),
-  so gamma = A^2 * Es/N0 is noncentral chi-square with one degree of freedom:
+* Intelligent (both):  the gain sums N i.i.d. element amplitudes, each the
+  product of its Rayleigh legs (``schemes._LEGS``), so it is N(sqrt(m2), v/2)
+  with m2 and v from :func:`_moments`, and gamma = gain^2 * Es/N0 is
+  noncentral chi-square with one degree of freedom:
 
-      M(s) = (1 - s*v*snr)^(-1/2) * exp(s*m2*snr / (1 - s*v*snr)),
-      m2 = N^2 pi^2 / 16,   v = N (16 - pi^2) / 8.
-
-* AP intelligent:  gain B = sum(beta_i), B ~ N(N*sqrt(pi)/2, N*(4 - pi)/4):
-  same form with  m2 = N^2 pi / 4,  v = N (4 - pi) / 2.
+      M(s) = (1 - s*v*snr)^(-1/2) * exp(s*m2*snr / (1 - s*v*snr)).
 
 * Blind (both):    gain ~ CN(0, N), so gamma is exponential:
   M(s) = (1 - s*N*snr)^(-1).
@@ -43,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modulation import ConstellationKind
-from .schemes import Scheme
+from .schemes import _LEGS, Scheme, _link_kind, _require_surface
 
 PI = np.pi
 
@@ -69,11 +67,6 @@ def db_to_linear(db) -> float:
     bit for a few per cent of inputs.
     """
     return 10.0 ** (float(db) / 10.0)
-
-
-def _require_surface(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n_reflectors must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -115,15 +108,19 @@ def log_mgf(model: AnalyticModel, s):
         raise ValueError("mgf is only evaluated for s <= 0")
     snr = np.asarray(model.snr, dtype=float)
     snr = snr.reshape(snr.shape + (1,) * s.ndim)  # one row of s per snr
-    n = model.n_reflectors
-    if model.scheme is Scheme.DH_INTELLIGENT:
-        m2, v = n * n * PI * PI / 16.0, n * (16.0 - PI * PI) / 8.0
-    elif model.scheme is Scheme.AP_INTELLIGENT:
-        m2, v = n * n * PI / 4.0, n * (4.0 - PI) / 2.0
-    else:  # blind: exponential gamma with mean N * snr
-        return -np.log1p(-s * (n * snr))
+    if not model.scheme.is_intelligent:  # exponential gamma with mean N * snr
+        return -np.log1p(-s * (model.n_reflectors * snr))
+    m2, v = _moments(model.scheme, model.n_reflectors)
     den = 1.0 - s * v * snr
     return -0.5 * np.log(den) + s * m2 * snr / den
+
+
+def _moments(scheme: Scheme, n: int) -> tuple[float, float]:
+    """m2 = E[gain]^2 and v = 2 Var[gain] of an intelligent n-element gain, from
+    the element moments of ``schemes._LEGS``.  m2 is n*n, times pi once per
+    leg, over 4**legs: the curves' bytes depend on that order."""
+    legs = _LEGS[scheme]
+    return math.prod((n * n, *(PI,) * legs)) / 4.0**legs, 2 * n * (1 - PI**legs / 4.0**legs)
 
 
 def mgf(model: AnalyticModel, s):
@@ -133,6 +130,8 @@ def mgf(model: AnalyticModel, s):
 
 @lru_cache(maxsize=32)
 def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    if nodes < 16:
+        raise ValueError(f"nodes must be >= 16, got {nodes}")
     return np.polynomial.legendre.leggauss(nodes)
 
 
@@ -143,8 +142,6 @@ def _gl_integral(func, a: float, b: float, nodes: int):
     ``np.dot``, so a block's values equal the one-point results bit for bit;
     a matrix product sums in another order and differs in the last bits.
     """
-    if nodes < 16:
-        raise ValueError(f"nodes must be >= 16, got {nodes}")
     x, w = _leggauss(nodes)
     half = 0.5 * (b - a)
     return half * np.vecdot(func(half * x + 0.5 * (a + b)), w)
@@ -167,9 +164,7 @@ def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256):
 
 def sep_mqam(model: AnalyticModel, order: int, nodes: int = 256):
     """Average square M-QAM SEP (dual-hop schemes only)."""
-    _require_qam_ok(model.scheme, order)
-    c = -3.0 / (2.0 * (order - 1))
-    q = 1.0 - 1.0 / np.sqrt(order)
+    q, c = _qam_terms(model.scheme, order)
 
     def integrand(eta):
         return mgf(model, c / np.sin(eta) ** 2)
@@ -179,12 +174,14 @@ def sep_mqam(model: AnalyticModel, order: int, nodes: int = 256):
     return _scalar_or_array((4.0 * q / PI) * first - (4.0 * q * q / PI) * second)
 
 
-def _require_qam_ok(scheme: Scheme, order: int) -> None:
+def _qam_terms(scheme: Scheme, order: int) -> tuple[float, float]:
+    """q = 1 - 1/sqrt(M) and c = -3 / (2 (M - 1)) of square M-QAM, once the
+    order is a square >= 4 and the link carries QAM (schemes._link_kind)."""
     side = int(np.sqrt(order))
     if order < 4 or side * side != order:
         raise ValueError(f"QAM order must be a perfect square >= 4, got {order}")
-    if scheme.is_access_point:
-        raise ValueError("QAM applies to the dual-hop schemes only")
+    _link_kind(scheme, order, ConstellationKind.QAM)
+    return 1.0 - 1.0 / np.sqrt(order), -3.0 / (2.0 * (order - 1))
 
 
 def sep_upper_bound(
@@ -199,9 +196,7 @@ def sep_upper_bound(
     integral because the integrands increase monotonically in sin^2(eta).
     """
     if kind is ConstellationKind.QAM:
-        _require_qam_ok(model.scheme, order)
-        q = 1.0 - 1.0 / np.sqrt(order)
-        c = -3.0 / (2.0 * (order - 1))
+        q, c = _qam_terms(model.scheme, order)
         return _scalar_or_array(2.0 * q * mgf(model, c) - q * q * mgf(model, 2.0 * c))
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
@@ -209,24 +204,23 @@ def sep_upper_bound(
 
 
 def waterfall_rate(scheme: Scheme, n: int, order: int) -> float:
-    """Decay rate c of the low-SNR law log P_e ~ -c * Es/N0 + const.
+    """Decay rate c of the low-SNR law log P_e ~ -c * Es/N0 + const: m2 times
+    the constellation's distance factor, with m2 and v from :func:`_moments`.
 
-    Valid where v * Es/N0 << 1, v being the variance term of the exponent
-    m2*snr / (1 + v*snr): v = N(16 - pi^2)/8 for DH and N(4 - pi)/2 for AP.
-    Only the intelligent schemes have the law: DH with BPSK or square QAM,
-    AP with M-PSK.  The constant is unspecified.
+    Valid where v * Es/N0 << 1.  Only the intelligent schemes have the law:
+    DH with BPSK or square QAM, AP with M-PSK.  The constant is unspecified.
     """
     _require_surface(n)
-    if scheme is Scheme.DH_INTELLIGENT:
-        if order == 2:
-            return n * n * PI * PI / 16.0
-        _require_qam_ok(scheme, order)
-        return 3.0 * n * n * PI * PI / (32.0 * (order - 1))
-    if scheme is Scheme.AP_INTELLIGENT:
+    if not scheme.is_intelligent:
+        raise ValueError(f"no waterfall law for {scheme.name}")
+    m2 = _moments(scheme, n)[0]
+    if scheme.is_access_point:
         if order < 2:
             raise ValueError(f"order must be >= 2, got {order}")
-        return np.sin(PI / order) ** 2 * n * n * PI / 4.0
-    raise ValueError(f"no waterfall law for {scheme.name}")
+        return np.sin(PI / order) ** 2 * m2
+    if order == 2:
+        return m2
+    return -_qam_terms(scheme, order)[1] * m2
 
 
 def saturation_exponent(n: int) -> float:
@@ -236,18 +230,17 @@ def saturation_exponent(n: int) -> float:
     Valid where N * Es/N0 >> 1.
     """
     _require_surface(n)
-    return -n * PI * PI / (2.0 * (16.0 - PI * PI))
+    m2, v = _moments(Scheme.DH_INTELLIGENT, n)
+    return -m2 / v
 
 
 def average_snr(model: AnalyticModel) -> float:
-    """Mean received SNR: (N^2 pi^2 + N(16 - pi^2)) / 16 * Es/N0.
-
-    Only the dual-hop intelligent scheme has this closed form.
-    """
+    """Mean received SNR E[gain^2] * Es/N0 = (m2 + v/2) * Es/N0, with m2 and v
+    from :func:`_moments`; defined for the dual-hop intelligent scheme only."""
     if model.scheme is not Scheme.DH_INTELLIGENT:
         raise ValueError("average_snr is defined for DH_INTELLIGENT only")
-    n = model.n_reflectors
-    return (n * n * PI * PI + n * (16.0 - PI * PI)) / 16.0 * model.snr
+    m2, v = _moments(model.scheme, model.n_reflectors)
+    return (m2 + v / 2.0) * model.snr
 
 
 def required_snr_db(

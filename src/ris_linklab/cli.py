@@ -34,7 +34,7 @@ from . import analytic
 from .analytic import AnalyticModel, db_to_linear, required_snr_db
 from .modulation import ConstellationKind, build_constellation, check_order
 from .montecarlo import STREAM_INDEX_LIMIT, SweepSpec, run_sweep
-from .schemes import Scheme, SchemeConfig
+from .schemes import Scheme, SchemeConfig, _link_kind, _require_surface
 
 CSV_HEADER = ["scheme", "N", "M", "snr_db", "metric", "value", "trials", "errors", "stderr"]
 
@@ -286,9 +286,8 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 
 def _constellation_kind(scheme: Scheme, order: int) -> ConstellationKind:
-    """PSK for AP links or M = 2, else square QAM (4-QAM == QPSK).  Raises
-    ValueError for an order that kind lacks, so every command refuses it."""
-    kind = ConstellationKind.PSK if scheme.is_access_point or order == 2 else ConstellationKind.QAM
+    """The link's default constellation (schemes._link_kind); every command refuses an order it lacks."""
+    kind = _link_kind(scheme, order)
     check_order(kind, order)
     return kind
 
@@ -373,7 +372,7 @@ def run_figure_preset(
     """Reproduce one figure preset; returns (csv_path, plot_script_path)."""
     if name not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_PRESETS}")
-
+    analytic._leggauss(nodes)  # refuses nodes < 16 before the first series runs
     rows = CsvRows()
     for scheme, n, order, window, simulate, curve, bound in FIGURES[name]:
         grid = snr_override or _snr_grid(*window, 1.0)
@@ -494,6 +493,8 @@ def main(argv=None) -> int:
     try:
         if args.command in ("analytic", "simulate"):
             grid = _snr_grid(args.snr_start_db, args.snr_stop_db, args.snr_step_db)
+            for n in args.n:  # every surface, before the first series runs
+                _require_surface(n)
             rows = CsvRows()
             for n in args.n:
                 if args.command == "analytic":

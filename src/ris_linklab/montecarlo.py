@@ -8,25 +8,12 @@ trial at any M.  It breaks exact ties toward the lowest index, so a zero
 (blocked) gain decides symbol 0; continuous draws land on a tie with
 probability zero.
 
-Each chunk draws from its own stream in a fixed order: the gain draws of
-:func:`~ris_linklab.schemes.draw_gains` (its docstring states them per
-scheme: blocked Exp(1) legs for the intelligent gains, made in float32 from
-raw SFC64 words, the exact amplitude laws for the blind ones), then the
-symbol indices, then the noise, scaled by sqrt(N0).  Each symbol is the
-low log2(M) bits of one 32-bit half of a raw SFC64 word, the low half of
-each word first, (trials + 1) // 2 words in all; M is a power of two, so
-the symbols are exactly uniform.  The noise is the real block only at
-M = 2, where the gain and the symbols are real; at M > 2 the real and then
-the imaginary block (one
-:func:`~ris_linklab.rng.standard_complex_normal` draw).  Every gain is a
-real amplitude: with circularly-symmetric noise, the receiver errs in law
-as it does against the complex gain.  ``tests/per_element.py`` holds the
-per-element channel the gains are tested against.  An intelligent leg is
-the midpoint of one of 2**31 equal cells of its uniform, so a deep fade is
-drawn from a lattice law: at N = 1 the rate of E F < t is within 2e-9 of
-Exp(1)'s (relative) at t = 1e-8 and 3e-4 at t = 1e-9, and away from fades
-a float32 leg is within about 1.1e-5 of its lattice value for E < 8
-(``draw_gains`` gives the bounds).
+Each chunk draws from its own stream in the fixed order that
+:func:`_chunk_counts` states: the gains of
+:func:`~ris_linklab.schemes.draw_gains`, which states each scheme's law
+and the bounds of its float32 legs, then the symbols, then the noise,
+scaled by sqrt(N0).  ``tests/per_element.py`` holds the per-element channel
+the gains are tested against.
 
 Work is organized in fixed-size chunks.  Chunk ``k`` of grid point ``p``
 always consumes the stream ``(seed, p * 2**32 + k)``, and a point stops at
@@ -198,10 +185,9 @@ def _chunk_counts(
     the symbol indices, then the real noise block and, at M > 2 only, the
     imaginary one.  The symbols take ``(trials + 1) // 2`` raw words, read
     as 32-bit halves, low half first, one half per symbol, whose low
-    log2(M) bits are the index.  Only the composite gain's amplitude enters
-    the received sample and the detector, so each scheme draws the exact
-    law of that amplitude.  At M = 2 the gain and the symbols are real, so the noise is
-    real too: its imaginary part would never enter the decision, and the
+    log2(M) bits are the index.  Each gain is a real amplitude (see
+    ``draw_gains``), so at M = 2 the gain and the symbols are real, and so is
+    the noise: its imaginary part would never enter the decision, and the
     real block is the one a complex draw makes first, so the binary
     intelligent chunks count what they did with complex noise.  The gain,
     noise and received samples go into this thread's workspace (see

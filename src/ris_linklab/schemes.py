@@ -56,9 +56,32 @@ class Scheme(enum.Enum):
         return self in (Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT)
 
 
+# Rayleigh legs of an intelligent element's amplitude, alpha_i beta_i (DH) or beta_i (AP).
+# A leg has mean sqrt(pi)/2 and mean square 1, so an element has mean^2 (pi/4)**legs and
+# variance 1 - (pi/4)**legs.  draw_gains samples the legs; analytic's model takes their moments.
+_LEGS = {Scheme.DH_INTELLIGENT: 2, Scheme.AP_INTELLIGENT: 1}
+
+
+def _require_surface(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n_reflectors must be >= 1, got {n}")
+
+
+def _link_kind(scheme: Scheme, order: int, kind: ConstellationKind | None = None) -> ConstellationKind:
+    """An access-point surface encodes each message as a common phase, so an AP
+    link carries M-PSK; a dual-hop link carries ``kind``, by default BPSK at
+    M = 2 and square QAM above (4-QAM is QPSK).  Raises ValueError for QAM on an AP link."""
+    if not scheme.is_access_point:
+        return (ConstellationKind.PSK if order == 2 else ConstellationKind.QAM) if kind is None else kind
+    if kind is ConstellationKind.QAM:
+        raise ValueError(f"{scheme.name} carries M-PSK (a common phase per message), not QAM")
+    return ConstellationKind.PSK
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
-    """A fully specified link: scheme, surface size and constellation.
+    """A fully specified link: scheme, surface size and constellation, checked
+    by the surface and constellation rules above.
 
     Symbol energy is fixed at Es = 1; a sweep sets N0 from each Es/N0 point.
     """
@@ -68,10 +91,8 @@ class SchemeConfig:
     constellation: Constellation
 
     def __post_init__(self) -> None:
-        if self.n_reflectors < 1:
-            raise ValueError(f"n_reflectors must be >= 1, got {self.n_reflectors}")
-        if self.scheme.is_access_point and self.constellation.kind is ConstellationKind.QAM:
-            raise ValueError(f"{self.scheme.name} carries M-PSK (a common phase per message), not QAM")
+        _require_surface(self.n_reflectors)
+        _link_kind(self.scheme, self.constellation.order, self.constellation.kind)
 
 
 def draw_gains(
@@ -129,10 +150,9 @@ def draw_gains(
     ``trials`` that receives them; ``work``, if given, is another that DH
     blind draws its Exp(1) block into.  Raises ValueError for ``n < 1``.
     """
-    if n < 1:
-        raise ValueError(f"n_reflectors must be >= 1, got {n}")
+    _require_surface(n)
     if scheme.is_intelligent:
-        return _amplitude_sums(rng, n, trials, 2 if scheme is Scheme.DH_INTELLIGENT else 1, out)
+        return _amplitude_sums(rng, n, trials, _LEGS[scheme], out)
     if scheme is Scheme.DH_BLIND:
         gains = rng.standard_gamma(n, trials, out=out)
         gains *= rng.standard_exponential(trials, out=work)

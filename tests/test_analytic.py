@@ -92,6 +92,24 @@ class TestMgf:
             empirical, rel=0.01
         )
 
+    @pytest.mark.parametrize("scheme", [Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT])
+    def test_equals_literal_closed_forms_bitwise(self, scheme):
+        """The intelligent MGF, whose m2 and v come from the leg table, equals
+        bit for bit the one built from the literal closed forms, so the table
+        keeps their operation order (and the curve bytes)."""
+        s = np.array([-1e-3, -0.5, -1.0, -7.25])
+        snr = np.array([db_to_linear(db) for db in (-60.0, -17.5, 0.0, 30.0)])
+        for n in range(1, 4097):
+            if scheme is Scheme.DH_INTELLIGENT:
+                m2, v = n * n * PI * PI / 16.0, n * (16.0 - PI * PI) / 8.0
+            else:
+                m2, v = n * n * PI / 4.0, n * (4.0 - PI) / 2.0
+            column = snr.reshape(-1, 1)
+            den = 1.0 - s * v * column
+            want = -0.5 * np.log(den) + s * m2 * column / den
+            got = log_mgf(model(scheme, n, snr), s)
+            assert got.tobytes() == want.tobytes(), n
+
     def test_no_overflow_at_huge_n(self):
         m = model(Scheme.DH_INTELLIGENT, 10**6, 1.0)
         value = log_mgf(m, -1.0)

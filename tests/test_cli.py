@@ -525,6 +525,25 @@ class TestMainEntry:
         assert "nodes must be >= 16" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--scheme", "dh_intelligent", "--n", "64", "0", "--max-trials", "1000000"],
+         "n_reflectors must be >= 1, got 0"),
+        (["figure", "fig6", "--nodes", "8"], "nodes must be >= 16, got 8"),
+    ], ids=["simulate-n-0", "figure-nodes-8"])
+    def test_bad_input_fails_before_any_simulation(self, tmp_path, monkeypatch, capsys, argv, message):
+        """A bad surface size or node count is refused before the first series
+        is simulated, not after the earlier ones have run."""
+        import ris_linklab.cli as cli_mod
+
+        def no_sweep(spec):
+            raise AssertionError("run_sweep called before the input was checked")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_failure_exits_two(self, tmp_path, monkeypatch):
         import ris_linklab.cli as cli_mod
 

@@ -26,15 +26,14 @@ from ris_linklab.montecarlo import (
 )
 from ris_linklab.montecarlo import _chunk_counts, _resolve_workers
 from ris_linklab.rng import RAYLEIGH_SCALE, RngStream, standard_complex_normal
-from ris_linklab.schemes import Scheme, SchemeConfig, draw_gains
+from ris_linklab.schemes import Scheme, SchemeConfig, _link_kind, draw_gains
 
 import per_element
 from bench.oracles import qfunc
 
 
 def make_spec(scheme, n, grid, order=2, **kwargs):
-    kind = ConstellationKind.PSK if scheme.is_access_point or order == 2 else ConstellationKind.QAM
-    const = build_constellation(kind, order)
+    const = build_constellation(_link_kind(scheme, order), order)
     config = SchemeConfig(scheme=scheme, n_reflectors=n, constellation=const)
     return SweepSpec(config=config, snr_grid_db=tuple(grid), **kwargs)
 

@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 
 from ris_linklab.modulation import ConstellationKind, build_constellation, detect_ml
 from ris_linklab.rng import RngStream
-from ris_linklab.schemes import Scheme, SchemeConfig, _negative_exponentials, draw_gains
+from ris_linklab.schemes import _LEGS, Scheme, SchemeConfig, _negative_exponentials, draw_gains
 
 import per_element
 
@@ -139,6 +139,22 @@ class TestInstantaneousSnr:
         beta = rng.rayleigh(1 / np.sqrt(2), 1_000_000)
         gamma = (alpha * beta) ** 2
         assert abs(gamma.mean() - 1.0) < 0.01
+
+
+class TestLegTableMoments:
+    @pytest.mark.parametrize("scheme", [Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT])
+    def test_single_element_moments_match_table(self, scheme):
+        """At N = 1 the sampled gain is one element's amplitude, whose mean is
+        (pi/4)**(legs/2) and variance 1 - (pi/4)**legs by the leg table that
+        the analytic model also reads: each within 4 standard errors."""
+        trials, quarter_pi = 1_000_000, np.pi / 4
+        gains = draw_gains(scheme, 1, RngStream(2020).generator(), trials)
+        legs = _LEGS[scheme]
+        mean, var = quarter_pi ** (legs / 2), 1 - quarter_pi**legs
+        centered = gains - gains.mean()
+        var_se = np.sqrt((np.mean(centered**4) - np.var(gains) ** 2) / trials)
+        assert abs(gains.mean() - mean) < 4 * np.sqrt(var / trials)
+        assert abs(np.var(gains) - var) < 4 * var_se
 
 
 class TestBlindEquivalence:
