@@ -2,7 +2,6 @@
 
 from .analytic import (
     AnalyticModel,
-    average_snr,
     db_to_linear,
     mgf,
     required_snr_db,

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modulation import ConstellationKind
+from .modulation import ConstellationKind, check_order
 from .schemes import _LEGS, Scheme, _link_kind, _require_surface
 
 PI = np.pi
@@ -54,7 +54,6 @@ __all__ = [
     "sep_upper_bound",
     "waterfall_rate",
     "saturation_exponent",
-    "average_snr",
     "required_snr_db",
     "db_to_linear",
 ]
@@ -152,8 +151,7 @@ def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256):
 
     (1/pi) * Integral_0^{(M-1)pi/M} M_gamma(-sin^2(pi/M) / sin^2 eta) d eta.
     """
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    check_order(ConstellationKind.PSK, order)
     c = np.sin(PI / order) ** 2
 
     def integrand(eta):
@@ -175,11 +173,9 @@ def sep_mqam(model: AnalyticModel, order: int, nodes: int = 256):
 
 
 def _qam_terms(scheme: Scheme, order: int) -> tuple[float, float]:
-    """q = 1 - 1/sqrt(M) and c = -3 / (2 (M - 1)) of square M-QAM, once the
-    order is a square >= 4 and the link carries QAM (schemes._link_kind)."""
-    side = int(np.sqrt(order))
-    if order < 4 or side * side != order:
-        raise ValueError(f"QAM order must be a perfect square >= 4, got {order}")
+    """q = 1 - 1/sqrt(M) and c = -3 / (2 (M - 1)) of square M-QAM, once
+    ``check_order`` accepts the order and the link carries QAM (schemes._link_kind)."""
+    check_order(ConstellationKind.QAM, order)
     _link_kind(scheme, order, ConstellationKind.QAM)
     return 1.0 - 1.0 / np.sqrt(order), -3.0 / (2.0 * (order - 1))
 
@@ -198,8 +194,7 @@ def sep_upper_bound(
     if kind is ConstellationKind.QAM:
         q, c = _qam_terms(model.scheme, order)
         return _scalar_or_array(2.0 * q * mgf(model, c) - q * q * mgf(model, 2.0 * c))
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    check_order(ConstellationKind.PSK, order)
     return _scalar_or_array((order - 1) / order * mgf(model, -np.sin(PI / order) ** 2))
 
 
@@ -215,8 +210,7 @@ def waterfall_rate(scheme: Scheme, n: int, order: int) -> float:
         raise ValueError(f"no waterfall law for {scheme.name}")
     m2 = _moments(scheme, n)[0]
     if scheme.is_access_point:
-        if order < 2:
-            raise ValueError(f"order must be >= 2, got {order}")
+        check_order(ConstellationKind.PSK, order)
         return np.sin(PI / order) ** 2 * m2
     if order == 2:
         return m2
@@ -232,15 +226,6 @@ def saturation_exponent(n: int) -> float:
     _require_surface(n)
     m2, v = _moments(Scheme.DH_INTELLIGENT, n)
     return -m2 / v
-
-
-def average_snr(model: AnalyticModel) -> float:
-    """Mean received SNR E[gain^2] * Es/N0 = (m2 + v/2) * Es/N0, with m2 and v
-    from :func:`_moments`; defined for the dual-hop intelligent scheme only."""
-    if model.scheme is not Scheme.DH_INTELLIGENT:
-        raise ValueError("average_snr is defined for DH_INTELLIGENT only")
-    m2, v = _moments(model.scheme, model.n_reflectors)
-    return (m2 + v / 2.0) * model.snr
 
 
 def required_snr_db(

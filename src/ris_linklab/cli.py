@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -111,12 +111,6 @@ class _Block:
         self.scheme, self.n, self.m, self.snr_db, self.metrics = scheme, n, m, snr_db, metrics
         self.value, self.trials, self.errors, self.stderr = value, trials, errors, stderr
 
-    @classmethod
-    def of_row(cls, r: CsvRow) -> _Block:
-        column = lambda x: None if x is None else ((x,),)
-        return cls(r.scheme, r.n, r.m, (r.snr_db,), (r.metric,), ((r.value,),),
-                   column(r.trials), column(r.errors), column(r.stderr))
-
     def __len__(self) -> int:
         return len(self.snr_db) * len(self.metrics)
 
@@ -196,14 +190,33 @@ class CsvRows:
 
 
 def _blocks(rows: CsvRows | Iterable[CsvRow]) -> Iterable[_Block]:
-    return rows.blocks if isinstance(rows, CsvRows) else map(_Block.of_row, rows)
+    return rows.blocks if isinstance(rows, CsvRows) else _row_blocks(rows)
+
+
+def _row_blocks(rows: Iterable[CsvRow]) -> Iterator[_Block]:
+    """Plain rows as blocks that write the same bytes.  An SNR group is a run
+    of rows with one series text, one empty-field pattern and one SNR of one
+    sign (0.0 and -0.0 print apart); each run of SNR groups that share all
+    but the SNR and have the same metrics becomes one block."""
+    def key(r: CsvRow) -> tuple:
+        return (f"{r.scheme},{r.n},{r.m}", r.trials is None, r.errors is None, r.stderr is None,
+                r.snr_db, math.copysign(1.0, r.snr_db))
+
+    groups = (list(group) for _, group in groupby(rows, key))
+    for _, run in groupby(groups, lambda group: (key(group[0])[:4], [r.metric for r in group])):
+        run = list(run)
+        first = run[0][0]
+        column = lambda name: None if getattr(first, name) is None else tuple(
+            [getattr(r, name) for r in metric_rows] for metric_rows in zip(*run))
+        yield _Block(first.scheme, first.n, first.m, [group[0].snr_db for group in run],
+                     tuple(r.metric for r in run[0]), *map(column, ("value", "trials", "errors", "stderr")))
 
 
 def write_rows(rows: CsvRows | Iterable[CsvRow], path: Path) -> None:
     """Write rows under CSV_HEADER, one block at a time: floats with 17
-    significant digits, None as an empty field.  Each CsvRow of a plain
-    iterable is written as a one-row block.  Scheme and metric names go
-    unquoted: no commas or quotes."""
+    significant digits, None as an empty field.  The CsvRows of a plain
+    iterable are merged into blocks first (see :func:`_row_blocks`).  Scheme
+    and metric names go unquoted: no commas or quotes."""
     snr_text = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")

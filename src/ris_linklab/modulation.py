@@ -12,16 +12,18 @@ Two constellation families are supported:
 The order of either family is a power of two >= 2, and a QAM order is also
 a square (4, 16, 64, ...); :func:`check_order` states the rule once.
 
-:func:`detect_ml` is coherent ML detection against a known gain g.  Since
-``|r - g*s|**2 = |g|**2 * |r/g - s|**2``, it slices ``z = r/g`` in O(1) per
-sample: square QAM rounds each axis to the nearest lattice level (clipped
-to the edge levels), PSK quantises the angle of z to M sectors.  BPSK
-needs neither the quotient nor the angle: the sample lies nearer -g than
-g exactly when ``Re(r * conj(g)) < 0``, one real product per sample.
-Exact ties go to the lowest index: to the lower level on each QAM axis, to
-the lower of two neighbouring phases, and to 0 between M - 1 and 0 (for
-BPSK, ``Re(r * conj(g)) == 0``); a zero gain, and for PSK a zero sample of
-either sign, decides 0.
+:func:`detect_ml` is coherent ML detection against a known gain g, and
+:func:`detect_axes` the same at a real gain for samples given as their real
+axes I and Q, the simulator's form.  As ``|r - g*s|**2 = |g|**2 * |r/g - s|**2``,
+both slice ``z = r/g`` as two reals in O(1) per sample: square QAM rounds
+each axis to the nearest lattice level (clipped to the edge levels), PSK
+quantises ``arctan2(Im z, Re z)`` to M sectors.  BPSK needs neither the
+quotient nor the angle: the sample lies nearer -g than g exactly when
+``Re(r * conj(g)) < 0``, or ``I * g < 0`` at a real gain.  Exact ties go to
+the lowest index: to the lower level on each QAM axis, to the lower of two
+neighbouring phases, and to 0 between M - 1 and 0 (for BPSK,
+``Re(r * conj(g)) == 0``); a zero gain, and for PSK a zero sample of either
+sign, decides 0.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ConstellationKind", "Constellation", "check_order", "build_constellation", "detect_ml"]
+__all__ = ["ConstellationKind", "Constellation", "check_order", "build_constellation", "detect_ml", "detect_axes"]
 
 
 class ConstellationKind(enum.Enum):
@@ -145,23 +147,37 @@ def detect_ml(received, gain, constellation: Constellation) -> np.ndarray:
         return np.atleast_1d(d < 0).astype(np.intp).reshape(shape)
     blocked = None if gain.all() else gain == 0
     z = np.atleast_1d(received / (gain if blocked is None else np.where(blocked, 1, gain)))
-    if constellation.kind is ConstellationKind.QAM:
-        index = _slice_qam(z, constellation)
-    else:
-        index = _slice_phase(z, constellation.order)
-    index = index.reshape(shape)
+    index = _slice(z.real, z.imag, constellation).reshape(shape)
     return index if blocked is None else np.where(blocked, 0, index)
 
 
-def _slice_qam(z: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Nearest square-lattice point; a tie goes to the lower level on each
-    axis, which is the lower index since index = row * side + col."""
+def detect_axes(i: np.ndarray, q: np.ndarray, gain: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """:func:`detect_ml` of the samples ``I + jQ`` at real gains, all finite
+    1-D arrays of one length (BPSK reads no ``q``).  The slicers take
+    ``I * (1/g)`` and ``Q * (1/g)``, the parts of numpy's complex quotient
+    ``r / (g + 0j)`` bit for bit, so each decision is detect_ml's."""
+    if constellation.kind is ConstellationKind.PSK and constellation.order == 2:
+        return np.less(i * gain, 0).astype(np.intp)
+    blocked = None if gain.all() else gain == 0
+    scale = np.divide(1.0, gain if blocked is None else np.where(blocked, 1.0, gain))
+    y = q * scale
+    index = _slice(np.multiply(i, scale, out=scale), y, constellation)
+    return index if blocked is None else np.where(blocked, 0, index)
+
+
+def _slice(x: np.ndarray, y: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Index of the point nearest to ``x + jy``: by angle for PSK (see
+    :func:`_slice_phase`), else the nearest square-lattice point, where a tie
+    goes to the lower level on each axis, which is the lower index since
+    index = row * side + col."""
+    if constellation.kind is ConstellationKind.PSK:
+        return _slice_phase(x, y, constellation.order)
     side = math.isqrt(constellation.order)
     # The levels are odd multiples of the half-step d, the smallest positive level.
     d = constellation.points[side // 2].real
     lowest = round(constellation.points[0].real / d)
-    col = _nearest_level((z.real / d - lowest) / 2, side)
-    row = _nearest_level((z.imag / d - lowest) / 2, side)
+    col = _nearest_level((x / d - lowest) / 2, side)
+    row = _nearest_level((y / d - lowest) / 2, side)
     return row * side + col
 
 
@@ -170,16 +186,17 @@ def _nearest_level(u: np.ndarray, side: int) -> np.ndarray:
     return np.clip(np.ceil(u - 0.5), 0, side - 1).astype(np.intp)
 
 
-def _slice_phase(z: np.ndarray, order: int) -> np.ndarray:
-    """Nearest point exp(2j*pi*m/M) by angle: point m sits at t = m, with t
-    in [-M/2, M/2].  A tie goes to the lower index: t = m + 1/2 to m, and
-    t = -1/2, the tie between M - 1 and 0, to 0.  A zero z, whose angle is
-    only the sign of its zeros, is equidistant from every point: it decides 0."""
-    t = np.angle(z)
+def _slice_phase(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+    """Nearest point exp(2j*pi*m/M) by the angle of ``x + jy``: point m sits
+    at t = m, with t in [-M/2, M/2].  A tie goes to the lower index:
+    t = m + 1/2 to m, and t = -1/2, the tie between M - 1 and 0, to 0.  A
+    zero sample, whose angle is only the sign of its zeros, is equidistant
+    from every point: it decides 0."""
+    t = np.arctan2(y, x)
     t /= 2.0 * np.pi / order
     ties = t == -0.5
-    if not z.all():
-        ties |= z == 0
+    if not x.all():
+        ties |= (x == 0) & (y == 0)
     t -= 0.5
     index = np.ceil(t, out=t).astype(np.intp)
     index &= order - 1  # the order is a power of two

@@ -3,13 +3,15 @@
 Trials are fast-fading: every trial draws a fresh composite channel gain, a
 uniform symbol (or message), and a noise sample, then runs coherent
 maximum-likelihood detection against that gain through
-:func:`~ris_linklab.modulation.detect_ml`, a slicer that costs O(1) per
+:func:`~ris_linklab.modulation.detect_axes`, a slicer that costs O(1) per
 trial at any M.  It breaks exact ties toward the lowest index, so a zero
 (blocked) gain decides symbol 0; continuous draws land on a tie with
 probability zero.
 
-Each chunk draws from its own stream in the fixed order that
-:func:`_chunk_counts` states: the gains of
+Every gain is a real amplitude, so the kernel is real at every order: it
+keeps the received sample as its two real axes, I and Q (I alone at
+M = 2), and never forms a complex array.  Each chunk draws from its own
+stream in the fixed order that :func:`_chunk_counts` states: the gains of
 :func:`~ris_linklab.schemes.draw_gains`, which states each scheme's law
 and the bounds of its float32 legs, then the symbols, then the noise,
 scaled by sqrt(N0).  ``tests/per_element.py`` holds the per-element channel
@@ -26,7 +28,7 @@ is certainly needed, the next chunk of a live point with none in flight,
 before it speculates on a point's later chunks, so only the last few live
 points of a sweep can compute a chunk that is then discarded (``run_sweep``
 states the rule).  Each worker thread draws and detects in one reused
-workspace of chunk-sized arrays.
+workspace of four chunk-sized float64 arrays.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modulation import detect_ml
-from .rng import RAYLEIGH_SCALE, RngStream, standard_complex_normal
+from .modulation import detect_axes
+from .rng import RAYLEIGH_SCALE, RngStream
 from .schemes import SchemeConfig, draw_gains
 
 WORKERS_ENV_VAR = "RIS_LINKLAB_THREADS"
@@ -182,56 +184,52 @@ def _chunk_counts(
     """Run one chunk of trials; return (symbol_errors, bit_errors).
 
     Draw order per chunk is fixed: the gain draws of ``draw_gains``, then
-    the symbol indices, then the real noise block and, at M > 2 only, the
-    imaginary one.  The symbols take ``(trials + 1) // 2`` raw words, read
-    as 32-bit halves, low half first, one half per symbol, whose low
-    log2(M) bits are the index.  Each gain is a real amplitude (see
-    ``draw_gains``), so at M = 2 the gain and the symbols are real, and so is
-    the noise: its imaginary part would never enter the decision, and the
-    real block is the one a complex draw makes first, so the binary
-    intelligent chunks count what they did with complex noise.  The gain,
-    noise and received samples go into this thread's workspace (see
-    :func:`_workspace`).
+    the symbol indices, then the noise's real block and, at M > 2 only, its
+    imaginary block: CN(0, N0) noise w_I + j w_Q, each block ``trials``
+    standard normals times ``RAYLEIGH_SCALE``, then times sqrt(N0).  The
+    symbols take ``(trials + 1) // 2`` raw words, read as 32-bit halves, low
+    half first, one half per symbol, whose low log2(M) bits are the index.
+    Each gain g is a real amplitude (see ``draw_gains``), so the chunk is
+    real: :func:`~ris_linklab.modulation.detect_axes` slices the received
+    axes I = g Re(s) + w_I and Q = g Im(s) + w_Q, where Q, which never
+    enters a BPSK decision, is neither drawn nor formed at M = 2.  Every
+    array lives in this thread's workspace (see :func:`_workspace`).
     """
     rng = stream.generator()
     const = config.constellation
-    gain, work, real_noise, noise, received = _workspace(trials)
+    gain, work, i, q = _workspace(trials)
 
     gain = draw_gains(config.scheme, config.n_reflectors, rng, trials, out=gain, work=work)
     words = rng.bit_generator.random_raw((trials + 1) // 2)
     halves = words.astype("<u8", copy=False).view("<u4")[:trials]
     tx = np.bitwise_and(halves, const.order - 1, dtype=np.intp)  # M is a power of two: uniform
-    if const.order == 2:  # the real part of the block below, value for value
-        noise = rng.standard_normal(trials, out=real_noise)
-        noise *= RAYLEIGH_SCALE
-        points, received = const.points.real, work
-    else:
-        standard_complex_normal(rng, trials, out=noise)
-        points = const.points
-    noise *= np.sqrt(_noise_density(snr_db))
-    np.take(points, tx, out=received, mode="clip")  # tx is in range; "clip" skips a buffer
-    np.multiply(gain, received, out=received)
-    received += noise
-    rx = detect_ml(received, gain, const)
+    amplitude = np.sqrt(_noise_density(snr_db))
+    axes = ((i, const.points.real), (q, const.points.imag))
+    for axis, points in axes[: 1 if const.order == 2 else 2]:
+        rng.standard_normal(trials, out=axis)
+        axis *= RAYLEIGH_SCALE
+        axis *= amplitude
+        np.take(points, tx, out=work, mode="clip")  # tx is in range; "clip" skips a buffer
+        work *= gain
+        axis += work
+    rx = detect_axes(i, q, gain, const)
 
     wrong = np.flatnonzero(rx != tx)
     return len(wrong), int(const.bit_distance_table[tx[wrong], rx[wrong]].sum())
 
 
-def _workspace(trials: int) -> tuple[np.ndarray, ...]:
-    """This thread's chunk buffers, ``trials`` long: three real ones (the
-    gain; DH blind's Exp(1) block, then the real received samples at M = 2;
-    the real noise at M = 2), then two complex ones (the noise and the
-    received samples at M > 2).
+def _workspace(trials: int) -> np.ndarray:
+    """This thread's chunk buffers, ``trials`` long, all float64: the gain;
+    DH blind's Exp(1) block, then each symbol axis times the gain; the
+    received I; the received Q (M > 2 only).
 
     Each thread keeps one set, sized by the longest chunk it has run
-    (560 kB at 10 000 trials), and a chunk overwrites what it uses.
+    (320 kB at 10 000 trials), and a chunk overwrites what it uses.
     """
     buffers = getattr(_local, "buffers", None)
-    if buffers is None or buffers[0].shape[1] < trials:
-        buffers = _local.buffers = (np.empty((3, trials)), np.empty((2, trials), np.complex128))
-    real, complex_ = buffers
-    return (*real[:, :trials], *complex_[:, :trials])
+    if buffers is None or buffers.shape[1] < trials:
+        buffers = _local.buffers = np.empty((4, trials))
+    return buffers[:, :trials]
 
 
 def _resolve_workers(workers: int | None) -> int:

@@ -42,18 +42,3 @@ class RngStream:
         seeds = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.SFC64(seeds))
 
-
-def standard_complex_normal(rng: np.random.Generator, size, out: np.ndarray | None = None) -> np.ndarray:
-    """Circularly-symmetric unit-variance complex Gaussian draws, CN(0, 1).
-
-    Draws the real parts as one block of ``size`` standard normals, then the
-    imaginary parts, and scales each by ``RAYLEIGH_SCALE``.  ``out``, if
-    given, is a complex128 array of shape ``size`` that receives them.
-    """
-    block = np.asarray(rng.standard_normal(size))
-    if out is None:
-        out = np.empty(block.shape, np.complex128)
-    np.multiply(block, RAYLEIGH_SCALE, out=out.real)
-    rng.standard_normal(size, out=block)
-    np.multiply(block, RAYLEIGH_SCALE, out=out.imag)
-    return out if out.ndim else out[()]

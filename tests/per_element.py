@@ -11,8 +11,20 @@ the sampler and the chunk kernel against them.  Every function works on
 
 import numpy as np
 
-from ris_linklab.rng import standard_complex_normal
+from ris_linklab.rng import RAYLEIGH_SCALE
 from ris_linklab.schemes import Scheme
+
+
+def standard_complex_normal(rng: np.random.Generator, size) -> np.ndarray:
+    """Circularly-symmetric unit-variance complex Gaussian draws, CN(0, 1):
+    one block of ``size`` standard normals for the real parts, then one for
+    the imaginary parts, each scaled by ``RAYLEIGH_SCALE``.  These are the
+    values of the simulator's two real noise blocks before sqrt(N0)."""
+    real = np.asarray(rng.standard_normal(size))
+    out = np.empty(real.shape, np.complex128)
+    out.real = real * RAYLEIGH_SCALE
+    out.imag = np.asarray(rng.standard_normal(size)) * RAYLEIGH_SCALE
+    return out if out.ndim else out[()]
 
 
 def channel(n: int, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,6 @@ from scipy.stats import norm
 
 from ris_linklab.analytic import (
     AnalyticModel,
-    average_snr,
     db_to_linear,
     mgf,
     required_snr_db,
@@ -45,6 +44,7 @@ from ris_linklab.montecarlo import WORKERS_ENV_VAR, SweepSpec, run_sweep
 from ris_linklab.rng import RngStream
 from ris_linklab.schemes import Scheme, SchemeConfig
 
+from average_snr import average_snr
 from bench.oracles import intelligent_crossing_db, rayleigh_gain_moments, rayleigh_mpsk_ser
 
 PI = np.pi

@@ -17,7 +17,6 @@ from ris_linklab.analytic import (
     _brent,
     _gl_integral,
     _leggauss,
-    average_snr,
     db_to_linear,
     log_mgf,
     mgf,
@@ -32,6 +31,7 @@ from ris_linklab.modulation import ConstellationKind
 from ris_linklab.rng import RngStream
 from ris_linklab.schemes import Scheme
 
+from average_snr import average_snr
 from bench.oracles import qfunc, rayleigh_mpsk_ser
 from simpson import adaptive_simpson
 
@@ -159,6 +159,27 @@ class TestSepMpsk:
     def test_rejects_fewer_than_16_nodes(self):
         with pytest.raises(ValueError, match="nodes must be >= 16"):
             sep_mpsk(model(Scheme.DH_BLIND, 4, 1.0), 2, nodes=15)
+
+
+POWER_OF_TWO, SQUARE = "order must be a power of two >= 2", "square power-of-two order"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: sep_mqam(m, 36), POWER_OF_TWO),
+    (lambda m: sep_mqam(m, 9), POWER_OF_TWO),
+    (lambda m: sep_mqam(m, 8), SQUARE),
+    (lambda m: sep_mpsk(m, 3), POWER_OF_TWO),
+    (lambda m: sep_upper_bound(m, 36, ConstellationKind.QAM), POWER_OF_TWO),
+    (lambda m: sep_upper_bound(m, 6), POWER_OF_TWO),
+    (lambda m: waterfall_rate(Scheme.DH_INTELLIGENT, 16, 36), POWER_OF_TWO),
+    (lambda m: waterfall_rate(Scheme.AP_INTELLIGENT, 16, 12), POWER_OF_TWO),
+], ids=["mqam36", "mqam9", "mqam8", "mpsk3", "bound_qam36", "bound_psk6", "waterfall_dh36", "waterfall_ap12"])
+def test_library_refuses_the_orders_the_simulator_refuses(call, message):
+    """The analytic functions take only the orders ``check_order`` takes: a
+    power of two, and for QAM also a square.  36 and 9 are squares but not
+    powers of two, 8 is a power of two but not a square."""
+    with pytest.raises(ValueError, match=message):
+        call(model(Scheme.DH_INTELLIGENT, 16, 1.0))
 
 
 class TestSepMqam:
@@ -318,9 +339,9 @@ class TestAsymptote:
         for scheme in (Scheme.DH_BLIND, Scheme.AP_BLIND):
             with pytest.raises(ValueError, match="no waterfall law"):
                 waterfall_rate(scheme, 16, 2)
-        with pytest.raises(ValueError, match="perfect square"):
+        with pytest.raises(ValueError, match="square power-of-two order"):
             waterfall_rate(Scheme.DH_INTELLIGENT, 16, 8)
-        with pytest.raises(ValueError, match="order must be >= 2"):
+        with pytest.raises(ValueError, match="order must be a power of two >= 2"):
             waterfall_rate(Scheme.AP_INTELLIGENT, 16, 1)
 
     @pytest.mark.parametrize("n", [0, -3])

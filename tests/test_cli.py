@@ -18,6 +18,8 @@ from ris_linklab.cli import (
     CSV_HEADER,
     FIGURES,
     CsvRow,
+    CsvRows,
+    _blocks,
     _build_parser,
     _constellation_kind,
     _exact_sep,
@@ -113,6 +115,37 @@ class TestCsvSchema:
         for line in (b"ap_blind,4,16,-0,sep_bound,", b"dh_intelligent,16,16,0,sep_exact,",
                      b"dh_blind,2,4,-0,ser,", b",-0,sep_exact,4.9406564584124654e-324,,,\n"):
             assert line in reference
+
+    def test_plain_row_lists_write_as_their_blocks(self, tmp_path):
+        """A list of CsvRow writes the bytes of the CsvRows it came from, and
+        each run of rows one block can hold (one series, one empty-field
+        pattern, the same metrics at each SNR) becomes one block: a whole
+        analytic series comes back as one block, however analytic_rows split
+        it.  A run that breaks its metric cycle ends its block there."""
+        grid = [-40.0 + 0.5 * k for k in range(100)]
+        assert len(grid) > _ANALYTIC_BLOCK
+        bound = analytic_rows(Scheme.DH_INTELLIGENT, 16, 16, grid, include_bound=True)
+        simulated = simulation_rows(Scheme.AP_BLIND, 2, 4, [0.0, 3.0, 6.0], seed=1, max_trials=10_000, min_errors=50)
+        mixed = CsvRows()
+        mixed += simulated
+        mixed += analytic_rows(Scheme.AP_BLIND, 2, 4, [0.0, 3.0, 6.0])
+        mixed += analytic_rows(Scheme.AP_BLIND, 4, 4, [0.0, 3.0, 6.0])
+        lone = CsvRows()
+        lone += [CsvRow("dh_blind", 4, 2, -7.5, "sep_exact", 0.25)]
+        broken = CsvRows()
+        broken += simulated
+        broken += [*list(simulated)[:3], *list(simulated)[4:]]  # the second SNR has no ser row
+        cases = {"bound": (bound, 1), "simulated": (simulated, 1), "mixed": (mixed, 3), "lone": (lone, 1),
+                 "broken": (broken, 3)}
+        for name, (rows, blocks) in cases.items():
+            plain = list(rows)
+            assert len(list(_blocks(plain))) == blocks, name
+            write_rows(rows, tmp_path / f"{name}_blocks.csv")
+            write_rows(plain, tmp_path / f"{name}_list.csv")
+            assert (tmp_path / f"{name}_list.csv").read_bytes() == (tmp_path / f"{name}_blocks.csv").read_bytes()
+            assert (tmp_path / f"{name}_list.csv").read_bytes() == csv_module_bytes(plain, tmp_path / "ref.csv")
+            assert CsvRows(_blocks(plain)) == plain
+        assert len(bound.blocks) == 2
 
     def test_signed_zero_snr_keeps_its_sign(self, tmp_path):
         """0.0 == -0.0, so a cache keyed by SNR value could print one as the
@@ -650,7 +683,7 @@ def test_public_api_is_pinned():
     )
     assert public == [
         "AnalyticModel", "Constellation", "ConstellationKind", "Scheme", "SchemeConfig", "SweepPoint",
-        "SweepSpec", "average_snr", "build_constellation", "confidence_interval", "db_to_linear", "detect_ml",
+        "SweepSpec", "build_constellation", "confidence_interval", "db_to_linear", "detect_ml",
         "mgf", "required_snr_db", "run_sweep", "saturation_exponent", "sep_mpsk", "sep_mqam",
         "sep_upper_bound", "waterfall_rate",
     ]

@@ -11,6 +11,7 @@ from ris_linklab.modulation import (
     _slice_phase,
     build_constellation,
     check_order,
+    detect_axes,
     detect_ml,
 )
 
@@ -317,7 +318,8 @@ class TestBinarySlicer:
             )
             received = gain * self.BPSK.points[tx] + noise
             decided = detect_ml(received, gain, self.BPSK)
-            assert np.array_equal(decided, _slice_phase(received / gain, 2))
+            z = received / gain
+            assert np.array_equal(decided, _slice_phase(z.real, z.imag, 2))
             errors += np.count_nonzero(decided != tx)
         assert 0 < errors < self.SAMPLES  # the cases see errors, not only hits
 
@@ -344,7 +346,7 @@ class TestBinarySlicer:
         side of -1, and the sign rule decides 1."""
         z = complex(-1e-17, 1.0)
         assert detect_ml(z, 1.0, self.BPSK) == 1
-        assert _slice_phase(np.array([z]), 2)[0] == 0
+        assert _slice_phase(np.array([z.real]), np.array([z.imag]), 2)[0] == 0
 
     def test_shapes_and_dtype(self):
         """Scalars give a 0-d intp array; other inputs give their broadcast shape."""
@@ -375,3 +377,30 @@ def test_detection_leaves_its_inputs_unchanged(kind, order):
         detect_ml(received, gain, c)
         assert np.array_equal(received, kept_received) and np.array_equal(gain, kept_gain)
         assert np.array_equal(np.signbit(received.view(float)), np.signbit(kept_received.view(float)))
+
+
+@pytest.mark.parametrize("kind, order", SLICER_CASES)
+def test_real_axes_decide_as_the_complex_detector(kind, order):
+    """detect_axes on (Re r, Im r) decides as detect_ml on r, sample for
+    sample, at real gains of both signs and zero gains, over random samples,
+    the constellation points and every signed zero; its inputs keep their
+    values."""
+    c = build_constellation(kind, order)
+    rng = np.random.default_rng(order + 100)
+    n = 20_000
+    gain = rng.standard_normal(n)
+    gain[::7] = 0.0
+    gain[1::11] = -0.0
+    tx = rng.integers(0, order, size=n)
+    received = gain * c.points[tx] + (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.3
+    received[:order] = c.points  # noiseless at gain 1, and ties on the boundaries between them
+    gain[:order] = 1.0
+    received[order : order + 4] = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    i, q = received.real.copy(), received.imag.copy()
+    kept = [a.copy() for a in (i, q, gain)]
+    decided = detect_axes(i, q, gain, c)
+    assert decided.dtype == np.intp
+    assert np.array_equal(decided, detect_ml(received, gain, c))
+    assert np.array_equal(decided[:order], np.arange(order))
+    assert all(np.array_equal(a, b) for a, b in zip((i, q, gain), kept))
+    assert 0 < np.count_nonzero(decided != tx) < n

@@ -16,7 +16,7 @@ from scipy.special import k0
 from scipy.stats import beta, chi2, norm
 
 from ris_linklab.analytic import AnalyticModel, db_to_linear, sep_mpsk
-from ris_linklab.modulation import ConstellationKind, _slice_phase, build_constellation, detect_ml
+from ris_linklab.modulation import ConstellationKind, _slice_phase, build_constellation, detect_axes, detect_ml
 from ris_linklab.montecarlo import (
     WORKERS_ENV_VAR,
     SweepPoint,
@@ -25,7 +25,7 @@ from ris_linklab.montecarlo import (
     run_sweep,
 )
 from ris_linklab.montecarlo import _chunk_counts, _resolve_workers
-from ris_linklab.rng import RAYLEIGH_SCALE, RngStream, standard_complex_normal
+from ris_linklab.rng import RAYLEIGH_SCALE, RngStream
 from ris_linklab.schemes import Scheme, SchemeConfig, _link_kind, draw_gains
 
 import per_element
@@ -213,7 +213,7 @@ def receiver_noise(rng, order, trials, snr_db):
     if order == 2:
         noise = rng.standard_normal(trials) * RAYLEIGH_SCALE
     else:
-        noise = standard_complex_normal(rng, trials)
+        noise = per_element.standard_complex_normal(rng, trials)
     return noise * np.sqrt(10.0 ** (-snr_db / 10.0))
 
 
@@ -313,9 +313,9 @@ class TestKernelMatchesScalarPath:
             rng = stream.generator()
             gain = draw_gains(scheme, n, rng, trials)
             tx = kernel_symbols(rng, 2, trials)
-            noise = standard_complex_normal(rng, trials) * np.sqrt(10.0 ** (-snr_db / 10.0))
-            received = gain * const.points[tx] + noise  # the kernel's operations, in its order
-            rx = _slice_phase(received / gain, 2)
+            noise = per_element.standard_complex_normal(rng, trials) * np.sqrt(10.0 ** (-snr_db / 10.0))
+            z = (gain * const.points[tx] + noise) / gain
+            rx = _slice_phase(z.real, z.imag, 2)
             sym, bit = _chunk_counts(config, snr_db, stream, trials)
             assert 0 < sym < trials, snr_db
             assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
@@ -328,10 +328,10 @@ class TestKernelMatchesScalarPath:
     ])
     def test_binary_chunk_ends_with_the_real_noise_block(self, scheme, snr_db):
         """At M = 2 a chunk draws the gains, the symbols and one real noise
-        block, the real part of the complex block drawn at M > 2, and nothing
-        after it: its counts equal those decided on the real part of
-        ``standard_complex_normal`` noise, and its generator's next words are
-        those a replay's generator draws after the real block."""
+        block, the real block of the two drawn at M > 2, and nothing after
+        it: its counts equal those decided on the real part of
+        ``per_element.standard_complex_normal`` noise, and its generator's
+        next words are those a replay's generator draws after the real block."""
         n, trials = 4, 10_000
         generators = []
 
@@ -347,7 +347,7 @@ class TestKernelMatchesScalarPath:
         gain = draw_gains(scheme, n, rng, trials)
         tx = kernel_symbols(rng, 2, trials)
         after_symbols = rng.bit_generator.state
-        noise = standard_complex_normal(rng, trials).real * np.sqrt(10.0 ** (-snr_db / 10.0))
+        noise = per_element.standard_complex_normal(rng, trials).real * np.sqrt(10.0 ** (-snr_db / 10.0))
         rx = detect_ml(gain * const.points.real[tx] + noise, gain, const)
         assert 0 < sym < trials
         assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
@@ -361,26 +361,28 @@ class TestKernelMatchesScalarPath:
     ])
     def test_symbols_are_the_low_bits_of_the_half_words_after_the_gains(self, monkeypatch, scheme, order):
         """A chunk draws the gains, then one raw 32-bit half-word per symbol,
-        then the noise, and nothing after it: the samples it detects equal,
-        bit for bit, those formed from symbols that are the low log2(M) bits
-        of the half-words drawn right after the gains (low half of each word
-        first), and its generator's next words are those after the noise.
-        An odd trial count leaves the last word's high half unused."""
+        then the noise, and nothing after it: the received axes it detects
+        equal, bit for bit, the real and imaginary parts of the samples
+        formed from symbols that are the low log2(M) bits of the half-words
+        drawn right after the gains (low half of each word first), and its
+        generator's next words are those after the noise.  At M = 2 only I
+        is formed.  An odd trial count leaves the last word's high half
+        unused."""
         import ris_linklab.montecarlo as mc
 
         n, trials, snr_db = 4, 999, 10.0
         detected, generators = [], []
 
-        def recorded(received, gain, const):
-            detected.append(received.copy())
-            return detect_ml(received, gain, const)
+        def recorded(i, q, gain, const):
+            detected.append((i.copy(), q.copy()))
+            return detect_axes(i, q, gain, const)
 
         class Recorded(RngStream):
             def generator(self):
                 generators.append(super().generator())
                 return generators[-1]
 
-        monkeypatch.setattr(mc, "detect_ml", recorded)
+        monkeypatch.setattr(mc, "detect_axes", recorded)
         config = make_spec(scheme, n, [snr_db], order=order).config
         _chunk_counts(config, snr_db, Recorded(45, 0), trials)
         rng = RngStream(45, 0).generator()
@@ -388,9 +390,77 @@ class TestKernelMatchesScalarPath:
         words = rng.bit_generator.random_raw((trials + 1) // 2)
         tx = words.astype("<u8").view("<u4")[:trials] & (order - 1)
         noise = receiver_noise(rng, order, trials, snr_db)
-        points = config.constellation.points
-        assert np.array_equal(detected[0], gain * (points.real if order == 2 else points)[tx] + noise)
+        received = gain * config.constellation.points[tx] + noise
+        i, q = detected[0]
+        assert np.array_equal(i, received.real)
+        assert order == 2 or np.array_equal(q, received.imag)
         assert np.array_equal(*(g.bit_generator.random_raw(4) for g in (generators[0], rng)))
+
+
+def complex_chunk_counts(config, snr_db, stream, trials, gains=draw_gains):
+    """Reference M > 2 kernel: the complex pipeline the simulator ran before
+    it kept the received sample as two real axes.  The same draws (the gains
+    of ``gains``, the symbols, then CN(0, 1) noise times sqrt(N0)), then
+    complex received samples ``g s + n`` and ``detect_ml``, which slices the
+    complex quotient ``r / g``."""
+    rng = stream.generator()
+    const = config.constellation
+    gain = gains(config.scheme, config.n_reflectors, rng, trials)
+    tx = kernel_symbols(rng, const.order, trials)
+    noise = per_element.standard_complex_normal(rng, trials)
+    noise *= np.sqrt(10.0 ** (-snr_db / 10.0))
+    received = gain * const.points[tx]
+    received += noise
+    rx = detect_ml(received, gain, const)
+    wrong = np.flatnonzero(rx != tx)
+    return len(wrong), int(const.bit_distance_table[tx[wrong], rx[wrong]].sum())
+
+
+class TestRealKernelMatchesTheComplexPipeline:
+    """At M > 2 the real-axis kernel counts, chunk for chunk, what the
+    complex reference kernel counts on the same stream: square QAM on
+    dh_intelligent and dh_blind, M-PSK on ap_intelligent and ap_blind, at
+    N = 1, 4 and 64, over chunks of 999 and 10 000 trials, and again with
+    every 7th gain forced to 0 (a blocked surface, which decides 0).  Each
+    chunk's SNR puts the mean received SNR at TARGET_DB[M], so the chunks
+    see both errors and hits."""
+
+    CHUNKS = 2
+    TARGET_DB = {4: 8.0, 8: 14.0, 16: 16.0, 64: 22.0, 256: 28.0}
+
+    @staticmethod
+    def mean_square_gain(scheme, n):
+        """E[g^2]: N for the blind schemes; N + N (N - 1) (pi/4)**legs for the
+        intelligent ones, whose element amplitudes have mean square 1."""
+        if not scheme.is_intelligent:
+            return n
+        return n + n * (n - 1) * (np.pi / 4) ** (2 if scheme is Scheme.DH_INTELLIGENT else 1)
+
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    @pytest.mark.parametrize("scheme, order", [
+        *((Scheme.DH_INTELLIGENT, m) for m in (4, 16, 64, 256)),
+        *((Scheme.AP_INTELLIGENT, m) for m in (4, 8, 16, 64)),
+        (Scheme.DH_BLIND, 16),
+        (Scheme.AP_BLIND, 8),
+    ])
+    def test_counts_match_on_every_chunk(self, monkeypatch, scheme, order, n):
+        import ris_linklab.montecarlo as mc
+
+        def blocked(*args, **kwargs):
+            gain = draw_gains(*args, **kwargs)
+            gain[::7] = 0.0
+            return gain
+
+        config = make_spec(scheme, n, [0.0], order=order).config
+        snr_db = self.TARGET_DB[order] - 10 * np.log10(self.mean_square_gain(scheme, n))
+        for gains in (draw_gains, blocked):
+            monkeypatch.setattr(mc, "draw_gains", gains)
+            for trials in (999, 10_000):
+                for k in range(self.CHUNKS):
+                    stream = RngStream(53, k)
+                    counts = _chunk_counts(config, snr_db, stream, trials)
+                    assert counts == complex_chunk_counts(config, snr_db, stream, trials, gains), (trials, k)
+                    assert 0 < counts[0] < trials
 
 
 class TestSymbolsAreUniform:
@@ -413,11 +483,11 @@ class TestSymbolsAreUniform:
 
         decided = []
 
-        def recorded(received, gain, const):
-            decided.append(detect_ml(received, gain, const))
+        def recorded(i, q, gain, const):
+            decided.append(detect_axes(i, q, gain, const))
             return decided[-1]
 
-        monkeypatch.setattr(mc, "detect_ml", recorded)
+        monkeypatch.setattr(mc, "detect_axes", recorded)
         pvalues = {}
         for order in self.ORDERS:
             config = make_spec(Scheme.DH_BLIND, 4, [300.0], order=order).config
@@ -461,7 +531,7 @@ class TestBlindAmplitudesMatchTheComplexChannel:
         for _ in range(self.TRIALS // self.CHUNK):
             h, g = per_element.channel(n, rng, self.CHUNK)
             tx = rng.integers(0, const.order, size=self.CHUNK)
-            noise = standard_complex_normal(rng, self.CHUNK) * np.sqrt(10.0 ** (-snr_db / 10.0))
+            noise = per_element.standard_complex_normal(rng, self.CHUNK) * np.sqrt(10.0 ** (-snr_db / 10.0))
             received = per_element.received(scheme, h, g, const, tx, noise)
             errors += int(np.count_nonzero(detect_ml(received, per_element.gain(scheme, h, g), const) != tx))
         return errors

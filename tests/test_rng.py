@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ris_linklab.modulation import ConstellationKind, build_constellation
 from ris_linklab.montecarlo import SweepSpec
-from ris_linklab.rng import RngStream, standard_complex_normal
+from ris_linklab.rng import RngStream
 from ris_linklab.schemes import Scheme, SchemeConfig
 
 import per_element
@@ -88,7 +88,7 @@ class TestPhaseConvention:
 
 def noise(n0: float, stream: RngStream, size=None):
     """CN(0, n0) receiver noise."""
-    return standard_complex_normal(stream.generator(), size) * np.sqrt(n0)
+    return per_element.standard_complex_normal(stream.generator(), size) * np.sqrt(n0)
 
 
 class TestNoise:
