@@ -26,7 +26,7 @@ from ris_linklab.montecarlo import (
 )
 from ris_linklab.montecarlo import _chunk_counts, _resolve_workers
 from ris_linklab.rng import RAYLEIGH_SCALE, RngStream
-from ris_linklab.schemes import Scheme, SchemeConfig, _link_kind, draw_gains
+from ris_linklab.schemes import _LEGS, Scheme, SchemeConfig, _link_kind, draw_gains
 
 import per_element
 from bench.oracles import qfunc
@@ -434,7 +434,7 @@ class TestRealKernelMatchesTheComplexPipeline:
         intelligent ones, whose element amplitudes have mean square 1."""
         if not scheme.is_intelligent:
             return n
-        return n + n * (n - 1) * (np.pi / 4) ** (2 if scheme is Scheme.DH_INTELLIGENT else 1)
+        return n + n * (n - 1) * (np.pi / 4) ** _LEGS[scheme]
 
     @pytest.mark.parametrize("n", [1, 4, 64])
     @pytest.mark.parametrize("scheme, order", [
