@@ -504,6 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command != "compare" and (args.out.is_dir() or not args.out.parent.is_dir()):
+            raise ValueError(f"--out must name a file in an existing directory, got {args.out}")
         if args.command in ("analytic", "simulate"):
             grid = _snr_grid(args.snr_start_db, args.snr_stop_db, args.snr_step_db)
             for n in args.n:  # every surface, before the first series runs

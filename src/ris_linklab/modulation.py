@@ -2,12 +2,15 @@
 
 Two constellation families are supported:
 
-* ``PSK`` — unit-circle points ``exp(2j*pi*m/M)``, Gray-labelled around
-  the circle.  The access-point schemes carry it too: their surface
+* ``PSK`` — unit-circle points ``exp(2j*pi*m/M)``; point m has the Gray
+  label ``g(m)``, ``g(x) = x ^ (x >> 1)``, so neighbours around the circle
+  differ in one bit.  The access-point schemes carry it too: their surface
   encodes message m by rotating every element by the common phase
   ``w_m = 2*pi*m/M``, which is M-PSK.
 * ``QAM`` — square lattice ``{±1, ±3, ...}^2`` normalized to unit average
-  energy, Gray-labelled independently along each axis.
+  energy; point ``row * side + col`` sits at level col on the real axis and
+  row on the imaginary one, with the label ``(g(col) << log2(M)/2) | g(row)``,
+  Gray along each axis.
 
 The order of either family is a power of two >= 2, and a QAM order is also
 a square (4, 16, 64, ...); :func:`check_order` states the rule once.
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,29 +45,20 @@ class ConstellationKind(enum.Enum):
     QAM = "qam"
 
 
-def _gray_label(index: int, width: int) -> str:
-    return format(index ^ (index >> 1), f"0{width}b")
-
-
 def _is_power_of_two(m: int) -> bool:
     return m >= 2 and (m & (m - 1)) == 0
 
 
 @dataclass(frozen=True)
 class Constellation:
-    """An M-ary symbol set with unit average energy and Gray bit labels."""
+    """An M-ary symbol set with unit average energy and Gray bit labels:
+    ``bit_labels[m]`` is point m's log2(M)-bit label as an integer, so
+    deciding r for s flips ``np.bitwise_count(bit_labels[s] ^ bit_labels[r])`` bits."""
 
     kind: ConstellationKind
     order: int
     points: np.ndarray
-    bit_labels: tuple[str, ...]
-    # Hamming distances between the bit labels of every pair of symbols.
-    bit_distance_table: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        labels = np.array([[int(b) for b in label] for label in self.bit_labels], dtype=np.uint8)
-        table = (labels[:, None, :] != labels[None, :, :]).sum(axis=2).astype(np.int64)
-        object.__setattr__(self, "bit_distance_table", table)
+    bit_labels: np.ndarray
 
     @property
     def bits_per_symbol(self) -> int:
@@ -84,28 +78,22 @@ def build_constellation(kind: ConstellationKind, order: int) -> Constellation:
     """Construct a Gray-labelled constellation of the given kind and an order
     that :func:`check_order` accepts."""
     check_order(kind, order)
-    bits = order.bit_length() - 1
-
+    index = np.arange(order)
+    gray = lambda x: x ^ (x >> 1)
     if kind is ConstellationKind.PSK:
-        points = np.exp(1j * (2.0 * np.pi * np.arange(order) / order))
-        labels = tuple(_gray_label(m, bits) for m in range(order))
-        return Constellation(kind=kind, order=order, points=points, bit_labels=labels)
-
-    if kind is ConstellationKind.QAM:
+        points = np.exp(1j * (2.0 * np.pi * index / order))
+        labels = gray(index)
+    elif kind is ConstellationKind.QAM:
         side = math.isqrt(order)
+        row, col = np.divmod(index, side)
         levels = 2.0 * np.arange(side) - (side - 1)
         # Unit average energy: mean of (i^2 + q^2) over the lattice is 2(M-1)/3.
         scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
-        points = np.empty(order, dtype=complex)
-        labels = []
-        half = bits // 2
-        for row in range(side):
-            for col in range(side):
-                points[row * side + col] = scale * (levels[col] + 1j * levels[row])
-                labels.append(_gray_label(col, half) + _gray_label(row, half))
-        return Constellation(kind=kind, order=order, points=points, bit_labels=tuple(labels))
-
-    raise ValueError(f"unknown constellation kind: {kind!r}")
+        points = scale * (levels[col] + 1j * levels[row])
+        labels = (gray(col) << (order.bit_length() - 1) // 2) | gray(row)
+    else:
+        raise ValueError(f"unknown constellation kind: {kind!r}")
+    return Constellation(kind=kind, order=order, points=points, bit_labels=labels)
 
 
 def detect_ml(received, gain, constellation: Constellation) -> np.ndarray:

@@ -13,9 +13,9 @@ keeps the received sample as its two real axes, I and Q (I alone at
 M = 2), and never forms a complex array.  Each chunk draws from its own
 stream in the fixed order that :func:`_chunk_counts` states: the gains of
 :func:`~ris_linklab.schemes.draw_gains`, which states each scheme's law
-and the bounds of its float32 legs, then the symbols, then the noise,
-scaled by sqrt(N0).  ``tests/per_element.py`` holds the per-element channel
-the gains are tested against.
+and the bounds of its float32 legs, then the symbols (raw half-words, see
+:func:`~ris_linklab.rng.half_words`), then the noise, scaled by sqrt(N0).
+``tests/per_element.py`` holds the per-element channel the gains are tested against.
 
 Work is organized in fixed-size chunks.  Chunk ``k`` of grid point ``p``
 always consumes the stream ``(seed, p * 2**32 + k)``, and a point stops at
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .modulation import detect_axes
-from .rng import RAYLEIGH_SCALE, RngStream
 from .schemes import SchemeConfig, draw_gains
 
 WORKERS_ENV_VAR = "RIS_LINKLAB_THREADS"
@@ -179,35 +179,34 @@ def _noise_density(snr_db: float) -> float:
 
 
 def _chunk_counts(
-    config: SchemeConfig, snr_db: float, stream: RngStream, trials: int
+    config: SchemeConfig, snr_db: float, stream: rng.RngStream, trials: int
 ) -> tuple[int, int]:
     """Run one chunk of trials; return (symbol_errors, bit_errors).
 
     Draw order per chunk is fixed: the gain draws of ``draw_gains``, then
     the symbol indices, then the noise's real block and, at M > 2 only, its
     imaginary block: CN(0, N0) noise w_I + j w_Q, each block ``trials``
-    standard normals times ``RAYLEIGH_SCALE``, then times sqrt(N0).  The
-    symbols take ``(trials + 1) // 2`` raw words, read as 32-bit halves, low
-    half first, one half per symbol, whose low log2(M) bits are the index.
-    Each gain g is a real amplitude (see ``draw_gains``), so the chunk is
-    real: :func:`~ris_linklab.modulation.detect_axes` slices the received
-    axes I = g Re(s) + w_I and Q = g Im(s) + w_Q, where Q, which never
-    enters a BPSK decision, is neither drawn nor formed at M = 2.  Every
+    standard normals times ``RAYLEIGH_SCALE``, then times sqrt(N0).  A symbol
+    is the low log2(M) bits of one ``rng.half_words`` value.  Each gain g is
+    a real amplitude (see ``draw_gains``), so the chunk is real:
+    :func:`~ris_linklab.modulation.detect_axes` slices the received axes
+    I = g Re(s) + w_I and Q = g Im(s) + w_Q, where Q, which never enters a
+    BPSK decision, is neither drawn nor formed at M = 2.  A symbol error
+    costs the bits in which the sent and decided Gray labels differ.  Every
     array lives in this thread's workspace (see :func:`_workspace`).
     """
-    rng = stream.generator()
+    generator = stream.generator()
     const = config.constellation
     gain, work, i, q = _workspace(trials)
 
-    gain = draw_gains(config.scheme, config.n_reflectors, rng, trials, out=gain, work=work)
-    words = rng.bit_generator.random_raw((trials + 1) // 2)
-    halves = words.astype("<u8", copy=False).view("<u4")[:trials]
+    gain = draw_gains(config.scheme, config.n_reflectors, generator, trials, out=gain, work=work)
+    halves = rng.half_words(generator, trials, "<u4")
     tx = np.bitwise_and(halves, const.order - 1, dtype=np.intp)  # M is a power of two: uniform
     amplitude = np.sqrt(_noise_density(snr_db))
     axes = ((i, const.points.real), (q, const.points.imag))
     for axis, points in axes[: 1 if const.order == 2 else 2]:
-        rng.standard_normal(trials, out=axis)
-        axis *= RAYLEIGH_SCALE
+        generator.standard_normal(trials, out=axis)
+        axis *= rng.RAYLEIGH_SCALE
         axis *= amplitude
         np.take(points, tx, out=work, mode="clip")  # tx is in range; "clip" skips a buffer
         work *= gain
@@ -215,7 +214,8 @@ def _chunk_counts(
     rx = detect_axes(i, q, gain, const)
 
     wrong = np.flatnonzero(rx != tx)
-    return len(wrong), int(const.bit_distance_table[tx[wrong], rx[wrong]].sum())
+    labels = const.bit_labels
+    return len(wrong), int(np.bitwise_count(labels[tx[wrong]] ^ labels[rx[wrong]]).sum())
 
 
 def _workspace(trials: int) -> np.ndarray:
@@ -267,7 +267,7 @@ class _Point:
         """(trials, symbol errors, bit errors) of chunk ``chunk_index``."""
         spec = self.spec
         trials = min(spec.chunk_size, spec.max_trials - chunk_index * spec.chunk_size)
-        stream = RngStream(spec.seed, (self.index << 32) | chunk_index)
+        stream = rng.RngStream(spec.seed, (self.index << 32) | chunk_index)
         return (trials, *_chunk_counts(spec.config, spec.snr_grid_db[self.index], stream, trials))
 
     def consume(self, result: tuple[int, int, int]) -> None:
@@ -379,9 +379,10 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepPoint]:
     workers = _resolve_workers(workers)
     # glibc hands a freed heap top back to the OS once it exceeds twice the
     # largest block it has unmapped.  Unmapping one 4 MiB block first keeps the
-    # intelligent draws' 512 KiB leg buffers and fresh 256 KiB raw-word arrays
-    # on the heap between blocks and chunks; without it a mary_n64 benchmark
-    # round took about 9 400 more minor page faults and 25 % more CPU time.
+    # intelligent draws' leg buffers and fresh raw-word arrays (up to 512 KiB
+    # each) on the heap between blocks and chunks.  Without it a mary_n64 round
+    # takes about 9 600 more minor page faults and up to 25 % more CPU time,
+    # as many from the word arrays alone when the legs are kept per thread.
     np.empty(1 << 19)
     points = [_Point(spec, index) for index in range(len(spec.snr_grid_db))]
     sweep = _Sweep(points, workers)

@@ -4,6 +4,7 @@ Every random draw in this package flows through an SFC64 stream seeded by
 ``SeedSequence(seed, spawn_key=(stream_id,))``.  A chunk's stream depends
 only on its key, not on which worker draws it or when, so any chunk of work
 can be handed to any worker in any order and still produce the same numbers.
+:func:`half_words` is the one reader of a stream's raw 64-bit words.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 # Rayleigh scale for |h| when h ~ CN(0, 1): each quadrature has variance 1/2.
 RAYLEIGH_SCALE = 1.0 / np.sqrt(2.0)
 
-__all__ = ["RAYLEIGH_SCALE", "RngStream"]
+__all__ = ["RAYLEIGH_SCALE", "RngStream", "half_words"]
 
 
 @dataclass(frozen=True)
@@ -42,3 +43,9 @@ class RngStream:
         seeds = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.SFC64(seeds))
 
+
+def half_words(generator: np.random.Generator, count: int, dtype: str) -> np.ndarray:
+    """``count`` 32-bit values (``"<u4"`` or ``"<i4"``) as a writable view of the next
+    ``(count + 1) // 2`` raw words: each word's low half, then its high half."""
+    words = generator.bit_generator.random_raw((count + 1) // 2)
+    return words.astype("<u8", copy=False).view(dtype)[:count]

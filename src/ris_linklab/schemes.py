@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .modulation import Constellation, ConstellationKind
 
 __all__ = ["Scheme", "SchemeConfig", "draw_gains"]
@@ -111,12 +112,11 @@ def draw_gains(
     * DH intelligent: ``A = sum(alpha_i beta_i) = sum(sqrt(E_i F_i))``, since
       the amplitude |h| of h ~ CN(0, 1) is sqrt(E) with E ~ Exp(1).  Trials
       go in row blocks of ``max(1, 65536 // N)`` rows (the last may be
-      shorter); each block takes rows * N raw 64-bit words from
-      ``rng.bit_generator.random_raw`` and reads them as int32 values, the
-      low half of each word first: the first rows * N values give the
+      shorter); each block reads 2 * rows * N int32 values with
+      :func:`~ris_linklab.rng.half_words`: the first rows * N give the
       (rows, N) block of E, the next ones F.
     * AP intelligent: ``B = sum(beta_i) = sum(sqrt(E_i))``; the same row
-      blocks, each ``ceil(rows * N / 2)`` words for one (rows, N) block of E.
+      blocks, each rows * N int32 values for one (rows, N) block of E.
     * DH blind: ``|H| = sqrt(X * E)``; X ~ Gamma(N, 1), then E ~ Exp(1),
       each a block of ``trials``.  Given g, ``H = sum(h_i g_i) ~ CN(0, |g|^2)``
       with ``|g|^2 ~ Gamma(N, 1)``, and ``|H|^2 / |g|^2 ~ Exp(1)``.
@@ -163,12 +163,12 @@ def draw_gains(
 
 
 def _amplitude_sums(
-    rng: np.random.Generator, n: int, trials: int, legs: int, out: np.ndarray | None
+    generator: np.random.Generator, n: int, trials: int, legs: int, out: np.ndarray | None
 ) -> np.ndarray:
     """Row sums of sqrt(E) (one leg) or sqrt(E * F) (two legs), drawn in the
-    row blocks of ``draw_gains`` from raw words (see :func:`_negative_exponentials`),
-    each summed in float64 by ``einsum``, which reads the float32 rows without a
-    cast buffer.
+    row blocks of ``draw_gains`` from int32 half-words (see :func:`_negative_exponentials`),
+    each summed in float64 by ``einsum``, which casts the float32 rows through
+    numpy's fixed-size cast buffer, not a full-size float64 copy.
     The float32 legs and one block of words stay within ``_BLOCK_VALUES``
     float64 values per leg, whatever ``trials``."""
     rows = max(1, _BLOCK_VALUES // n)
@@ -176,9 +176,7 @@ def _amplitude_sums(
     gains = np.empty(trials) if out is None else out
     for start in range(0, trials, rows):
         block = buffers[:, : min(rows, trials - start) * n]
-        values = block.size
-        words = rng.bit_generator.random_raw((values + 1) // 2)
-        halves = words.astype("<u8", copy=False).view("<i4")[:values]
+        halves = rng.half_words(generator, block.size, "<i4")
         _negative_exponentials(halves.reshape(block.shape), out=block)
         amplitudes = block[0]
         if legs == 2:

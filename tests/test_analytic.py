@@ -442,7 +442,13 @@ class TestMonotonicityAndStability:
             assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_node_doubling_converged(self):
-        """Doubling the Gauss-Legendre order moves nothing by > 1e-10 relative."""
+        """Doubling the Gauss-Legendre order moves no binary SEP by > 1e-10
+        relative.  On every figure preset's exact curve, fig6's M-QAM and
+        M-PSK at N = 64 among them, it moves none by > 1e-6 relative where
+        the SEP exceeds 1e-12 (the worst, 8.8e-8, is 64-PSK on
+        ap_intelligent at -59 dB)."""
+        from ris_linklab import cli
+
         for scheme in (Scheme.DH_INTELLIGENT, Scheme.AP_INTELLIGENT, Scheme.DH_BLIND):
             for n in (4, 64, 256):
                 for db in (-40, -20, 0):
@@ -450,6 +456,20 @@ class TestMonotonicityAndStability:
                     a = sep_mpsk(m, 2, nodes=256)
                     b = sep_mpsk(m, 2, nodes=512)
                     assert abs(a - b) <= 1e-10 * max(a, 1e-300)
+        orders = set()
+        for series in cli.FIGURES.values():
+            for scheme, n, order, window, _, curve, _ in series:
+                if not curve:
+                    continue
+                kind = cli._constellation_kind(scheme, order)
+                m = model(scheme, n, np.array([db_to_linear(db) for db in cli._snr_grid(*window, 1.0)]))
+                a = cli._exact_sep(m, order, kind, 256)
+                b = cli._exact_sep(m, order, kind, 512)
+                shown = a > 1e-12
+                assert shown.sum() >= 20
+                assert np.all(np.abs(a - b)[shown] <= 1e-6 * a[shown]), (scheme, n, order)
+                orders.add((kind, order))
+        assert {(ConstellationKind.QAM, 64), (ConstellationKind.PSK, 64)} <= orders
 
     def test_probability_range(self):
         for scheme in list(Scheme):

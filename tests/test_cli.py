@@ -558,23 +558,32 @@ class TestMainEntry:
         assert "nodes must be >= 16" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (["simulate", "--scheme", "dh_intelligent", "--n", "64", "0", "--max-trials", "1000000"],
+    @pytest.mark.parametrize("argv, out, message", [
+        (["simulate", "--scheme", "dh_intelligent", "--n", "64", "0", "--max-trials", "1000000"], "x.csv",
          "n_reflectors must be >= 1, got 0"),
-        (["figure", "fig6", "--nodes", "8"], "nodes must be >= 16, got 8"),
-    ], ids=["simulate-n-0", "figure-nodes-8"])
-    def test_bad_input_fails_before_any_simulation(self, tmp_path, monkeypatch, capsys, argv, message):
-        """A bad surface size or node count is refused before the first series
-        is simulated, not after the earlier ones have run."""
+        (["figure", "fig6", "--nodes", "8"], "x.csv", "nodes must be >= 16, got 8"),
+        (["simulate", "--scheme", "dh_intelligent", "--n", "64", "--max-trials", "1000000"], "nodir/x.csv",
+         "--out must name a file in an existing directory, got {tmp}/nodir/x.csv"),
+        (["figure", "fig7", "--max-trials", "100000"], "nodir/f.csv",
+         "--out must name a file in an existing directory, got {tmp}/nodir/f.csv"),
+        (["simulate", "--scheme", "ap_blind", "--n", "4", "--max-trials", "1000000"], ".",
+         "--out must name a file in an existing directory, got {tmp}"),
+        (["analytic", "--scheme", "dh_blind", "--n", "4"], ".",
+         "--out must name a file in an existing directory, got {tmp}"),
+    ], ids=["simulate-n-0", "figure-nodes-8", "simulate-out-in-missing-dir", "figure-out-in-missing-dir",
+            "simulate-out-is-dir", "analytic-out-is-dir"])
+    def test_bad_input_fails_before_any_simulation(self, tmp_path, monkeypatch, capsys, argv, out, message):
+        """A bad surface size, node count or --out path is refused before the
+        first series is simulated, not after the earlier ones have run."""
         import ris_linklab.cli as cli_mod
 
         def no_sweep(spec):
             raise AssertionError("run_sweep called before the input was checked")
 
         monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
-        out = tmp_path / "x.csv"
+        out = tmp_path / out
         assert main([*argv, "--out", str(out)]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {message.format(tmp=tmp_path)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_exits_two(self, tmp_path, monkeypatch):

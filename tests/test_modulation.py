@@ -16,6 +16,7 @@ from ris_linklab.modulation import (
 )
 
 import argmin
+import gray_labels
 
 ALL_KINDS_AND_ORDERS = [
     (ConstellationKind.PSK, 2),
@@ -80,6 +81,20 @@ class TestConstruction:
 
 
 class TestGrayLabels:
+    @pytest.mark.parametrize("kind,order", [
+        (kind, 2**k) for kind in ConstellationKind for k in range(1, 11)
+        if kind is ConstellationKind.PSK or k % 2 == 0
+    ])
+    def test_labels_match_the_string_reference(self, kind, order):
+        """The integer labels, written as log2(M) bits, are the string Gray
+        labels of ``gray_labels`` at every kind and valid order up to 1024."""
+        c = build_constellation(kind, order)
+        assert np.issubdtype(c.bit_labels.dtype, np.integer)
+        width = c.bits_per_symbol
+        assert [format(label, f"0{width}b") for label in c.bit_labels.tolist()] == list(
+            gray_labels.string_labels(kind, order)
+        )
+
     @pytest.mark.parametrize("kind,order", ALL_KINDS_AND_ORDERS)
     def test_labels_distinct(self, kind, order):
         c = build_constellation(kind, order)
@@ -90,7 +105,7 @@ class TestGrayLabels:
         """Neighbouring points around the PSK circle differ in one bit."""
         c = build_constellation(ConstellationKind.PSK, order)
         for m in range(order):
-            assert c.bit_distance_table[m, (m + 1) % order] == 1
+            assert gray_labels.distance_table(c)[m, (m + 1) % order] == 1
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_qam_axis_adjacency(self, order):
@@ -99,14 +114,14 @@ class TestGrayLabels:
         side = int(np.sqrt(order))
         for row in range(side):
             for col in range(side - 1):
-                assert c.bit_distance_table[row * side + col, row * side + col + 1] == 1
+                assert gray_labels.distance_table(c)[row * side + col, row * side + col + 1] == 1
         for row in range(side - 1):
             for col in range(side):
-                assert c.bit_distance_table[row * side + col, (row + 1) * side + col] == 1
+                assert gray_labels.distance_table(c)[row * side + col, (row + 1) * side + col] == 1
 
     def test_bit_errors_bounded(self):
         c = build_constellation(ConstellationKind.QAM, 16)
-        assert c.bit_distance_table.max() <= c.bits_per_symbol
+        assert gray_labels.distance_table(c).max() <= c.bits_per_symbol
 
 
 class TestDetection:
@@ -134,8 +149,8 @@ class TestDetection:
     def test_bit_errors_vs(self):
         c = build_constellation(ConstellationKind.PSK, 4)
         rx = detect_ml(c.points[3], 1.0, c)
-        assert c.bit_distance_table[rx, 3] == 0
-        assert 1 <= c.bit_distance_table[rx, 0] <= c.bits_per_symbol
+        assert gray_labels.distance_table(c)[rx, 3] == 0
+        assert 1 <= gray_labels.distance_table(c)[rx, 0] <= c.bits_per_symbol
 
     def test_rejects_nonfinite(self):
         c = build_constellation(ConstellationKind.PSK, 2)

@@ -28,6 +28,7 @@ from ris_linklab.montecarlo import _chunk_counts, _resolve_workers
 from ris_linklab.rng import RAYLEIGH_SCALE, RngStream
 from ris_linklab.schemes import _LEGS, Scheme, SchemeConfig, _link_kind, draw_gains
 
+import gray_labels
 import per_element
 from bench.oracles import qfunc
 
@@ -245,7 +246,7 @@ class TestKernelMatchesScalarPath:
         received = per_element.received(scheme, h, g, const, tx, noise)
         rx = detect_ml(received, gain, const)
         assert 0 < sym < trials
-        assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
+        assert (sym, bit) == (np.count_nonzero(rx != tx), gray_labels.distance_table(const)[tx, rx].sum())
 
     @pytest.mark.parametrize("scheme", [Scheme.DH_BLIND, Scheme.AP_BLIND])
     def test_complex_channel_schemes(self, scheme):
@@ -292,7 +293,7 @@ class TestKernelMatchesScalarPath:
             config = make_spec(scheme, 3, [0.0], order=order).config
             sym, bit = _chunk_counts(config, 0.0, stream, self.TRIALS)
             tx = kernel_symbols(stream.generator(), order, self.TRIALS)  # the stand-in draws nothing
-            table = config.constellation.bit_distance_table
+            table = gray_labels.distance_table(config.constellation)
             assert (sym, bit) == (np.count_nonzero(tx), table[tx, 0].sum())
 
     @pytest.mark.parametrize("scheme, snrs_db", [
@@ -318,7 +319,7 @@ class TestKernelMatchesScalarPath:
             rx = _slice_phase(z.real, z.imag, 2)
             sym, bit = _chunk_counts(config, snr_db, stream, trials)
             assert 0 < sym < trials, snr_db
-            assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
+            assert (sym, bit) == (np.count_nonzero(rx != tx), gray_labels.distance_table(const)[tx, rx].sum())
 
     @pytest.mark.parametrize("scheme, snr_db", [
         (Scheme.DH_INTELLIGENT, -10.0),
@@ -350,7 +351,7 @@ class TestKernelMatchesScalarPath:
         noise = per_element.standard_complex_normal(rng, trials).real * np.sqrt(10.0 ** (-snr_db / 10.0))
         rx = detect_ml(gain * const.points.real[tx] + noise, gain, const)
         assert 0 < sym < trials
-        assert (sym, bit) == (np.count_nonzero(rx != tx), const.bit_distance_table[tx, rx].sum())
+        assert (sym, bit) == (np.count_nonzero(rx != tx), gray_labels.distance_table(const)[tx, rx].sum())
         rng.bit_generator.state = after_symbols
         rng.standard_normal(trials)
         next_words = [g.bit_generator.random_raw(4) for g in (generators[0], rng)]
@@ -413,7 +414,7 @@ def complex_chunk_counts(config, snr_db, stream, trials, gains=draw_gains):
     received += noise
     rx = detect_ml(received, gain, const)
     wrong = np.flatnonzero(rx != tx)
-    return len(wrong), int(const.bit_distance_table[tx[wrong], rx[wrong]].sum())
+    return len(wrong), int(gray_labels.distance_table(const)[tx[wrong], rx[wrong]].sum())
 
 
 class TestRealKernelMatchesTheComplexPipeline:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ris_linklab.modulation import ConstellationKind, build_constellation
 from ris_linklab.montecarlo import SweepSpec
-from ris_linklab.rng import RngStream
+from ris_linklab.rng import RngStream, half_words
 from ris_linklab.schemes import Scheme, SchemeConfig
 
 import per_element
@@ -161,3 +161,26 @@ class TestValidation:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
+
+
+class TestHalfWords:
+    def test_low_half_first_and_an_odd_count_drops_the_last_high_half(self):
+        """Each raw word gives its low 32 bits, then its high 32 bits; an odd
+        count reads ``(count + 1) // 2`` words and leaves the last high half
+        unused, so the next word drawn is the one after it."""
+        words = RngStream(9, 3).generator().bit_generator.random_raw(4).tolist()
+        halves = [w >> shift & 0xFFFFFFFF for w in words for shift in (0, 32)]
+        for count in (1, 5, 6):
+            rng = RngStream(9, 3).generator()
+            values = half_words(rng, count, "<u4")
+            assert values.dtype == np.dtype("<u4")
+            assert values.tolist() == halves[:count]
+            assert int(rng.bit_generator.random_raw()) == words[(count + 1) // 2]
+
+    def test_signed_view(self):
+        """With dtype ``"<i4"`` the same 32 bits read as two's-complement int32 values."""
+        unsigned = half_words(RngStream(9, 4).generator(), 7, "<u4").tolist()
+        signed = half_words(RngStream(9, 4).generator(), 7, "<i4")
+        assert signed.dtype == np.dtype("<i4")
+        assert signed.tolist() == [u - 2**32 if u >= 2**31 else u for u in unsigned]
+        assert (signed < 0).any() and (signed >= 0).any()
