@@ -85,9 +85,15 @@ class AnalyticModel:
         if bad.size:
             where = f"[{bad[0]}]" if snr.ndim else ""
             raise ValueError(f"snr{where} must be finite and > 0, got {snr.reshape(-1)[bad[0]]}")
-        if snr.ndim:  # a private read-only copy, so the checked values stay checked
-            snr.flags.writeable = False
-            object.__setattr__(self, "snr", snr)
+        snr.flags.writeable = False  # a private read-only copy, so the checked values stay checked
+        object.__setattr__(self, "snr", snr if snr.ndim else float(snr))
+
+    def __eq__(self, other: object) -> bool:  # an array snr compares by content
+        same = isinstance(other, AnalyticModel) and self.scheme is other.scheme
+        return same and self.n_reflectors == other.n_reflectors and np.array_equal(self.snr, other.snr)
+
+    def __hash__(self) -> int:
+        return hash((self.scheme, self.n_reflectors, np.asarray(self.snr, dtype=float).tobytes()))
 
 
 def _scalar_or_array(x):

@@ -225,24 +225,15 @@ def write_rows(rows: CsvRows | Iterable[CsvRow], path: Path) -> None:
 
 
 def read_rows(path: Path) -> list[CsvRow]:
-    rows = []
+    """The rows of a CSV under CSV_HEADER; an empty field reads as None."""
+    optional = lambda text, kind: kind(text) if text else None
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                CsvRow(
-                    scheme=rec["scheme"],
-                    n=int(rec["N"]),
-                    m=int(rec["M"]),
-                    snr_db=float(rec["snr_db"]),
-                    metric=rec["metric"],
-                    value=float(rec["value"]),
-                    trials=int(rec["trials"]) if rec["trials"] else None,
-                    errors=int(rec["errors"]) if rec["errors"] else None,
-                    stderr=float(rec["stderr"]) if rec["stderr"] else None,
-                )
-            )
-    return rows
+        return [
+            CsvRow(rec["scheme"], int(rec["N"]), int(rec["M"]), float(rec["snr_db"]), rec["metric"],
+                   float(rec["value"]), optional(rec["trials"], int), optional(rec["errors"], int),
+                   optional(rec["stderr"], float))
+            for rec in csv.DictReader(fh)
+        ]
 
 
 PLOT_SCRIPT = """\

@@ -60,6 +60,14 @@ class Constellation:
     points: np.ndarray
     bit_labels: np.ndarray
 
+    def __eq__(self, other: object) -> bool:  # the arrays compare by content
+        if not (isinstance(other, Constellation) and (self.kind, self.order) == (other.kind, other.order)):
+            return False
+        return np.array_equal(self.points, other.points) and np.array_equal(self.bit_labels, other.bit_labels)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.order))
+
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1

@@ -200,7 +200,7 @@ def _chunk_counts(
     gain, work, i, q = _workspace(trials)
 
     gain = draw_gains(config.scheme, config.n_reflectors, generator, trials, out=gain, work=work)
-    halves = rng.half_words(generator, trials, "<u4")
+    halves = rng.half_words(generator, trials)
     tx = np.bitwise_and(halves, const.order - 1, dtype=np.intp)  # M is a power of two: uniform
     amplitude = np.sqrt(_noise_density(snr_db))
     axes = ((i, const.points.real), (q, const.points.imag))

@@ -44,8 +44,8 @@ class RngStream:
         return np.random.Generator(np.random.SFC64(seeds))
 
 
-def half_words(generator: np.random.Generator, count: int, dtype: str) -> np.ndarray:
-    """``count`` 32-bit values (``"<u4"`` or ``"<i4"``) as a writable view of the next
-    ``(count + 1) // 2`` raw words: each word's low half, then its high half."""
+def half_words(generator: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` unsigned 32-bit values as a view of the next ``(count + 1) // 2``
+    raw words: each word's low half, then its high half."""
     words = generator.bit_generator.random_raw((count + 1) // 2)
-    return words.astype("<u8", copy=False).view(dtype)[:count]
+    return words.astype("<u8", copy=False).view("<u4")[:count]

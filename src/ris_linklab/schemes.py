@@ -37,9 +37,6 @@ __all__ = ["Scheme", "SchemeConfig", "draw_gains"]
 
 # Values per leg in one block of the intelligent draws (see draw_gains).
 _BLOCK_VALUES = 65536
-# The clamp on the legs' int32 words: |s| <= 2**31 - 65 rounds to float32 at most
-# 2**31 - 128, so U = |s + 1/2| * 2**-31 is at most 1 - 2**-24, the largest float32 below 1.
-_WORD_MAX = 2**31 - 65
 
 
 class Scheme(enum.Enum):
@@ -112,34 +109,30 @@ def draw_gains(
     * DH intelligent: ``A = sum(alpha_i beta_i) = sum(sqrt(E_i F_i))``, since
       the amplitude |h| of h ~ CN(0, 1) is sqrt(E) with E ~ Exp(1).  Trials
       go in row blocks of ``max(1, 65536 // N)`` rows (the last may be
-      shorter); each block reads 2 * rows * N int32 values with
+      shorter); each block reads 2 * rows * N uint32 values with
       :func:`~ris_linklab.rng.half_words`: the first rows * N give the
       (rows, N) block of E, the next ones F.
     * AP intelligent: ``B = sum(beta_i) = sum(sqrt(E_i))``; the same row
-      blocks, each rows * N int32 values for one (rows, N) block of E.
+      blocks, each rows * N uint32 values for one (rows, N) block of E.
     * DH blind: ``|H| = sqrt(X * E)``; X ~ Gamma(N, 1), then E ~ Exp(1),
       each a block of ``trials``.  Given g, ``H = sum(h_i g_i) ~ CN(0, |g|^2)``
       with ``|g|^2 ~ Gamma(N, 1)``, and ``|H|^2 / |g|^2 ~ Exp(1)``.
     * AP blind: ``|G| = sqrt(N * E)``; one Exp(1) block.  ``G = sum(g_i) ~ CN(0, N)``.
 
-    In the intelligent draws an int32 value s gives the leg E = -log1p(-U),
-    U = |s + 1/2| * 2**-31, computed in float32: U is the midpoint of one
-    of 2**31 equal cells of (0, 1), each of mass 2**-31.  U rounds to
-    float32 exactly below 2**-8 (E < 0.0039), so there E is within 2 ulp of
-    the lattice value and a deep fade sees the lattice law: at N = 1,
-    P(E F < t) is within 2e-9 of
-    1 - 2 sqrt(t) K1(2 sqrt(t)) (relative) at t = 1e-8 and 3e-4 at t = 1e-9,
-    below which the lattice's smallest leg, 2**-32, sets the law.  Above,
-    rounding U moves E by up to about 2**-25 e**E: relative errors are
-    about 4e-8 in the median, below 1.1e-5 for E < 8 and up to a few per
-    cent only in the top atoms.  The words are clamped in place to
-    |s| <= 2**31 - 65 before the cast: the 129 words with |s| >= 2**31 - 64,
-    whose U would round to 1, take U = 1 - 2**-24, where 254 more words
-    round, so the largest leg, 24 ln 2 = 16.64, carries 383 * 2**-32 =
-    8.9e-8 of mass, where Exp(1) has 6.0e-8 above it.  The float32
-    amplitudes are summed per row in float64, exactly unless a term is
-    below about 2**-29 of its row's total (probability below 1e-10 per leg
-    at N = 1024), so the order of the additions does not matter.
+    In the intelligent draws a uint32 value u gives the leg E = -log1p(-U),
+    U = (u + 1/2) * 2**-32 in float32, the midpoint of one of 2**32 equal
+    cells of (0, 1).  Up to E = 0.0039, E is within 2 ulp of the lattice
+    value, so a deep fade sees the lattice law: at N = 1, P(E F < t) is
+    within 1.3e-9 of 1 - 2 sqrt(t) K1(2 sqrt(t)) (relative) at t = 1e-8 and
+    1.3e-5 at t = 1e-9, below which the smallest leg, 2**-33, sets the law.
+    Above, rounding U moves E by up to about 2**-25 e**E: relative errors
+    are about 4e-8 in the median, below 1.1e-5 for E < 8 and up to 2.5 % in
+    the top atoms.  U is at most 1 - 2**-24 (see :func:`_negative_uniforms`),
+    so the largest leg, 24 ln 2 = 16.64, carries 383 * 2**-32 = 8.9e-8 of
+    mass, where Exp(1) has 6.0e-8 above it.  The float32 amplitudes are
+    summed per row in float64, exactly unless a term is below about 2**-29
+    of its row's total (probability below 1e-10 per leg at N = 1024), so
+    the order of the additions does not matter.
 
     Every gain is a real amplitude, as float64.  The blind draws drop the
     phase of H or G: a coherent receiver with circularly-symmetric noise n
@@ -166,18 +159,17 @@ def _amplitude_sums(
     generator: np.random.Generator, n: int, trials: int, legs: int, out: np.ndarray | None
 ) -> np.ndarray:
     """Row sums of sqrt(E) (one leg) or sqrt(E * F) (two legs), drawn in the
-    row blocks of ``draw_gains`` from int32 half-words (see :func:`_negative_exponentials`),
-    each summed in float64 by ``einsum``, which casts the float32 rows through
-    numpy's fixed-size cast buffer, not a full-size float64 copy.
-    The float32 legs and one block of words stay within ``_BLOCK_VALUES``
-    float64 values per leg, whatever ``trials``."""
+    row blocks of ``draw_gains`` from uint32 half-words (see :func:`_negative_uniforms`)
+    and summed in float64 by ``einsum`` through numpy's fixed-size cast buffer,
+    not a full-size float64 copy.  The float32 legs and one block of words
+    stay within ``_BLOCK_VALUES`` float64 values per leg, whatever ``trials``."""
     rows = max(1, _BLOCK_VALUES // n)
     buffers = np.empty((legs, min(rows, trials) * n), np.float32)
     gains = np.empty(trials) if out is None else out
     for start in range(0, trials, rows):
         block = buffers[:, : min(rows, trials - start) * n]
-        halves = rng.half_words(generator, block.size, "<i4")
-        _negative_exponentials(halves.reshape(block.shape), out=block)
+        halves = rng.half_words(generator, block.size)
+        np.log1p(_negative_uniforms(halves.reshape(block.shape), block), out=block)
         amplitudes = block[0]
         if legs == 2:
             amplitudes *= block[1]  # (-E) * (-F) = E * F
@@ -189,14 +181,14 @@ def _amplitude_sums(
     return gains
 
 
-def _negative_exponentials(halves: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """-E = log1p(-U) in float32 from int32 words s, U = |s + 1/2| * 2**-31,
-    with s first clamped in place to |s| <= 2**31 - 65 so that U is at most
-    1 - 2**-24 (see ``draw_gains``)."""
-    words = halves.reshape(-1)  # a view of an array; a copy of a scalar, which np.clip cannot write
-    np.clip(words, -_WORD_MAX, _WORD_MAX, out=words)
-    np.copyto(out, words.reshape(out.shape))
+def _negative_uniforms(halves: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """-U = -(u + 1/2) * 2**-32 in float32 from uint32 words u: a cast and an
+    add, each rounded to nearest, then an exact scaling.  The 128 words from
+    2**32 - 128 cast to 2**32, where U = 1: a block that holds one is clamped
+    to U <= 1 - 2**-24, where the 255 words from 2**32 - 383 round."""
+    np.copyto(out, halves.reshape(out.shape))
     out += np.float32(0.5)
-    np.absolute(out, out=out)
-    out *= np.float32(-(2.0**-31))
-    return np.log1p(out, out=out)
+    out *= np.float32(-(2.0**-32))
+    if out.min() == -1.0:
+        np.maximum(out, np.float32(2.0**-24 - 1.0), out=out)
+    return out

@@ -32,11 +32,10 @@ def channel(n: int, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, 
     return standard_complex_normal(rng, (trials, n)), standard_complex_normal(rng, (trials, n))
 
 
-def lattice_legs(s: np.ndarray) -> np.ndarray:
-    """The intelligent sampler's Exp(1) legs at int32 words s, in float64:
-    E = -log1p(-U) with U = |s + 1/2| * 2**-31 clamped to 1 - 2**-24."""
-    u = np.minimum(np.abs(s.astype(np.float64) + 0.5) * 2.0**-31, 1.0 - 2.0**-24)
-    return -np.log1p(-u)
+def lattice_legs(u: np.ndarray) -> np.ndarray:
+    """The intelligent sampler's Exp(1) legs at uint32 words u, in float64:
+    E = -log1p(-U) with U = (u + 1/2) * 2**-32 clamped to 1 - 2**-24."""
+    return -np.log1p(-np.minimum((u.astype(np.float64) + 0.5) * 2.0**-32, 1.0 - 2.0**-24))
 
 
 def channel_phases(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -281,6 +281,21 @@ class TestArraySnr:
         assert np.isfinite(m.snr).all()
         with pytest.raises(ValueError):
             m.snr[0] = np.nan
+        scalar = np.array(1e-3)  # a 0-d array is kept as the float it held
+        m, h = model(Scheme.DH_BLIND, 16, scalar), hash(model(Scheme.DH_BLIND, 16, 1e-3))
+        scalar[...] = -1.0
+        assert type(m.snr) is float and m.snr == 1e-3 and hash(m) == h
+
+    def test_value_equality(self):
+        """Models compare and hash by value, an array snr by content."""
+        a, b = model(Scheme.DH_BLIND, 16, np.array(self.GRID)), model(Scheme.DH_BLIND, 16, list(self.GRID))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert model(Scheme.DH_BLIND, 16, 2) == model(Scheme.DH_BLIND, 16, 2.0)
+        assert hash(model(Scheme.DH_BLIND, 16, 2)) == hash(model(Scheme.DH_BLIND, 16, 2.0))
+        assert a != model(Scheme.DH_BLIND, 16, np.array(self.GRID) * 2)
+        assert a != model(Scheme.DH_BLIND, 16, np.array(self.GRID[:-1]))
+        assert a != model(Scheme.AP_BLIND, 16, np.array(self.GRID)) and a != model(Scheme.DH_BLIND, 8, self.GRID)
+        assert model(Scheme.DH_BLIND, 16, 2.0) != model(Scheme.DH_BLIND, 16, [2.0]) and a != self.GRID
 
 
 class TestGlReduction:

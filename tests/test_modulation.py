@@ -14,6 +14,8 @@ from ris_linklab.modulation import (
     detect_axes,
     detect_ml,
 )
+from ris_linklab.montecarlo import SweepSpec
+from ris_linklab.schemes import Scheme, SchemeConfig
 
 import argmin
 import gray_labels
@@ -78,6 +80,30 @@ class TestConstruction:
             build_constellation(kind, order)
         with pytest.raises(ValueError):
             check_order(kind, order)
+
+
+class TestValueEquality:
+    """Constellations, and the configs and sweeps that hold them, compare and
+    hash by value: the arrays by content."""
+
+    @pytest.mark.parametrize("kind,order", ALL_KINDS_AND_ORDERS)
+    def test_equal_builds_compare_and_hash_equal(self, kind, order):
+        a, b = build_constellation(kind, order), build_constellation(kind, order)
+        assert a is not b and a == b and hash(a) == hash(b)
+        scheme = Scheme.AP_INTELLIGENT if kind is ConstellationKind.PSK else Scheme.DH_BLIND
+        config = lambda c: SchemeConfig(scheme, 8, c)
+        assert config(a) == config(b) and hash(config(a)) == hash(config(b))
+        spec = lambda c: SweepSpec(config(c), (0.0, 1.0))
+        assert spec(a) == spec(b) and hash(spec(a)) == hash(spec(b))
+        assert len({a, b, config(a), config(b), spec(a), spec(b)}) == 3
+
+    def test_other_orders_kinds_and_points_differ(self):
+        qpsk = build_constellation(ConstellationKind.PSK, 4)
+        assert qpsk != build_constellation(ConstellationKind.PSK, 8)
+        assert qpsk != build_constellation(ConstellationKind.QAM, 4)
+        assert qpsk != Constellation(qpsk.kind, 4, -qpsk.points, qpsk.bit_labels)
+        assert qpsk != Constellation(qpsk.kind, 4, qpsk.points, qpsk.bit_labels[::-1])
+        assert qpsk != "qpsk" and qpsk != SchemeConfig(Scheme.AP_INTELLIGENT, 4, qpsk)
 
 
 class TestGrayLabels:

@@ -173,10 +173,10 @@ BLOCK_VALUES = 65536  # values per leg in one block of draw_gains' intelligent d
 
 def lattice_exponentials(rng, shape):
     """Exp(1) legs of the documented law, in float64: each raw word gives
-    two int32 values, low half first (see ``per_element.lattice_legs``)."""
+    two uint32 values, low half first (see ``per_element.lattice_legs``)."""
     values = int(np.prod(shape))
     words = rng.bit_generator.random_raw((values + 1) // 2)
-    return per_element.lattice_legs(words.astype("<u8").view("<i4")[:values]).reshape(shape)
+    return per_element.lattice_legs(words.astype("<u8").view("<u4")[:values]).reshape(shape)
 
 
 def intelligent_channel(scheme, n, seed):

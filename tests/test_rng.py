@@ -172,15 +172,7 @@ class TestHalfWords:
         halves = [w >> shift & 0xFFFFFFFF for w in words for shift in (0, 32)]
         for count in (1, 5, 6):
             rng = RngStream(9, 3).generator()
-            values = half_words(rng, count, "<u4")
+            values = half_words(rng, count)
             assert values.dtype == np.dtype("<u4")
             assert values.tolist() == halves[:count]
             assert int(rng.bit_generator.random_raw()) == words[(count + 1) // 2]
-
-    def test_signed_view(self):
-        """With dtype ``"<i4"`` the same 32 bits read as two's-complement int32 values."""
-        unsigned = half_words(RngStream(9, 4).generator(), 7, "<u4").tolist()
-        signed = half_words(RngStream(9, 4).generator(), 7, "<i4")
-        assert signed.dtype == np.dtype("<i4")
-        assert signed.tolist() == [u - 2**32 if u >= 2**31 else u for u in unsigned]
-        assert (signed < 0).any() and (signed >= 0).any()

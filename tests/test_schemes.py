@@ -1,5 +1,7 @@
 """Tests for the four transmission schemes and their composite gains."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import k1
@@ -7,7 +9,13 @@ from scipy.stats import ks_2samp
 
 from ris_linklab.modulation import ConstellationKind, build_constellation, detect_ml
 from ris_linklab.rng import RngStream
-from ris_linklab.schemes import _LEGS, Scheme, SchemeConfig, _negative_exponentials, draw_gains
+from ris_linklab.schemes import (
+    _LEGS,
+    Scheme,
+    SchemeConfig,
+    _negative_uniforms,
+    draw_gains,
+)
 
 import per_element
 
@@ -286,66 +294,99 @@ class TestAmplitudeRowSums:
             shape = (legs, min(rows, trials - start), n)
             values = int(np.prod(shape))
             words = rng.bit_generator.random_raw((values + 1) // 2)
-            halves = words.astype("<u8").view("<i4")[:values].reshape(shape)
-            negative = _negative_exponentials(halves, np.empty(shape, np.float32))
+            halves = words.astype("<u8").view("<u4")[:values].reshape(shape)
+            negative = negative_legs(halves)
             amplitudes = np.sqrt(negative[0] * negative[1] if legs == 2 else -negative[0])
             sums.append(np.add.reduce(amplitudes.astype(np.float64), axis=1))
         assert np.array_equal(gains, np.concatenate(sums))
 
 
-HALF = 2**31  # int32 words s >= 0 and s < 0 each number 2**31
+WORDS = 2**32  # the uint32 words u
 
 
-def sampled_legs(s: np.ndarray) -> np.ndarray:
-    """The sampler's float32 legs E at int32 words s, as float64."""
-    return -_negative_exponentials(s, np.empty(s.shape, np.float32)).astype(np.float64)
+def negative_legs(u: np.ndarray) -> np.ndarray:
+    """The sampler's float32 -E = log1p(-U) at uint32 words u, as ``_amplitude_sums`` forms them."""
+    return np.log1p(_negative_uniforms(u, np.empty(u.shape, np.float32)))
 
 
-def legs(j, sign: int) -> np.ndarray:
-    """The leg at the word s = j (sign 1) or s = -1 - j (sign -1), j in
-    [0, 2**31); it does not decrease with j."""
-    j = np.asarray(j, np.int64)
-    return sampled_legs((j if sign > 0 else -1 - j).astype(np.int32))
+def sampled_legs(u: np.ndarray) -> np.ndarray:
+    """The sampler's float32 legs E at uint32 words u, as float64."""
+    return -negative_legs(u).astype(np.float64)
 
 
-def last_j(y, strict: bool, sign: int) -> np.ndarray:
-    """The largest j with legs(j, sign) < y (strict) or <= y, -1 if none; by bisection."""
-    y = np.asarray(y, np.float64)
-    lo, hi = np.full(y.shape, -1, np.int64), np.full(y.shape, HALF, np.int64)
-    while np.any(open_ := hi - lo > 1):
-        mid = np.where(open_, (lo + hi) // 2, 0)
-        leg = legs(mid, sign)
-        below = open_ & ((leg < y) if strict else (leg <= y))
-        lo, hi = np.where(below, mid, lo), np.where(open_ & ~below, mid, hi)
-    return lo
+def legs(u) -> np.ndarray:
+    """The leg at the words u in [0, 2**32); it does not decrease with u."""
+    return sampled_legs(np.asarray(u, np.int64).astype(np.uint32))
 
 
 def words_below(y, strict: bool) -> np.ndarray:
-    """The number of the 2**32 words whose leg is < y (strict) or <= y."""
-    return sum(last_j(y, strict, sign) + 1 for sign in (1, -1))
+    """The number of the 2**32 words whose leg is < y (strict) or <= y, by
+    bisection for the first word whose leg is not."""
+    y = np.asarray(y, np.float64)
+    lo, hi = np.full(y.shape, -1, np.int64), np.full(y.shape, WORDS, np.int64)
+    while np.any(open_ := hi - lo > 1):
+        mid = np.where(open_, (lo + hi) // 2, 0)
+        leg = legs(mid)
+        below = open_ & ((leg < y) if strict else (leg <= y))
+        lo, hi = np.where(below, mid, lo), np.where(open_ & ~below, mid, hi)
+    return lo + 1
+
+
+def f32(x: float) -> float:
+    """x rounded to the nearest float32, ties to even (IEEE binary32)."""
+    return struct.unpack("<f", struct.pack("<f", x))[0]
+
+
+class TestLegUniforms:
+    """U before ``log1p``, pinned exactly: the cast, the add and the
+    multiply by 2**-32 are IEEE-rounded float32 operations, so they give the
+    same bits on every CPU.  The pure-Python reference rounds each exact
+    double result once; u, u + 1/2 and the scaled sum each fit a double."""
+
+    PINNED = [0, 1, 2, 2**23 - 1, 2**23, 2**23 + 1, 2**23 + 2, 2**24, 2**24 + 1, 2**31]
+    PINNED += [2**32 - k for k in (385, 384, 383, 257, 256, 129, 128, 127, 1)]
+
+    def test_against_a_pure_python_reference(self):
+        want = [-min(f32(f32(u) + 0.5) * 2.0**-32, 1.0 - 2.0**-24) for u in self.PINNED]
+        u = np.array(self.PINNED, np.uint32)
+        assert _negative_uniforms(u, np.empty(u.shape, np.float32)).tolist() == want
+
+    def test_midpoints_and_top_words(self):
+        """Below 2**23, U is the midpoint (u + 1/2) 2**-32 of the word's cell.
+        Above, the add (from 2**23) and the cast (from 2**24) round to
+        nearest, ties to even, so the words collect at atoms centred on their
+        cells.  The 128 words
+        from 2**32 - 128 cast to 2**32 and would give U = 1; they take
+        1 - 2**-24, where the 255 words from 2**32 - 383 round."""
+        u = np.array(self.PINNED, np.uint32)
+        got = dict(zip(self.PINNED, (-_negative_uniforms(u, np.empty(u.shape, np.float32))).tolist()))
+        assert [got[k] for k in (0, 1, 2, 2**23 - 1)] == [(k + 0.5) * 2.0**-32 for k in (0, 1, 2, 2**23 - 1)]
+        assert got[2**23 - 1] < got[2**23] == 2.0**-9 < got[2**23 + 1] == got[2**23 + 2] < got[2**24]
+        assert got[2**24] == got[2**24 + 1] == 2.0**-8
+        assert {got[2**32 - k] for k in (383, 257, 256, 129, 128, 127, 1)} == {1.0 - 2.0**-24}
+        assert got[2**32 - 385] == got[2**32 - 384] == 1.0 - 2.0**-23
 
 
 class TestLegLattice:
-    """The intelligent legs E = -log1p(-U), U = |s + 1/2| * 2**-31 clamped
-    to 1 - 2**-24, from int32 words s in float32 (``draw_gains``): their
-    exact law, counted over the 2**32 words rather than sampled."""
+    """The intelligent legs E = -log1p(-U), U = (u + 1/2) 2**-32 at most
+    1 - 2**-24, from uint32 words u in float32 (``draw_gains``): their exact
+    law, counted over the 2**32 words rather than sampled."""
 
-    def assert_within_two_ulp(self, s):
-        want = per_element.lattice_legs(s)
-        assert np.all(np.abs(sampled_legs(s) - want) <= 2 * np.spacing(want.astype(np.float32)))
+    def assert_within_two_ulp(self, u):
+        want = per_element.lattice_legs(u)
+        assert np.all(np.abs(sampled_legs(u) - want) <= 2 * np.spacing(want.astype(np.float32)))
 
     def test_float32_legs_within_two_ulp(self):
-        """Every |s| < 2**23 (one sign each, alternating) and both end words."""
-        for start in range(0, 2**23, 2**20):
-            k = np.arange(start, start + 2**20)
-            self.assert_within_two_ulp(np.where(k % 2 == 0, k, -k).astype(np.int32))
-        self.assert_within_two_ulp(np.array([0, -1, HALF - 1, -HALF], np.int32))
+        """Every u < 2**24 (U < 2**-8) and the end words."""
+        for start in range(0, 2**24, 2**20):
+            self.assert_within_two_ulp(np.arange(start, start + 2**20, dtype=np.uint32))
+        self.assert_within_two_ulp(np.array([0, 1, WORDS - 128, WORDS - 2, WORDS - 1], np.uint32))
 
     def test_cdf_passes_through_every_step(self):
         """At the largest leg v <= x, for x from 1e-9 to 12, 1 - exp(-x') for
         some x' within 2 ulp of v lies between P(E < v) and P(E <= v), to 2**-30."""
         x = np.geomspace(1e-9, 12.0, 64)
-        v = np.maximum(legs(last_j(x, False, 1), 1), legs(last_j(x, False, -1), -1))
+        v = legs(words_below(x, False) - 1)
         below, upto = (words_below(v, strict) * 2.0**-32 for strict in (True, False))
         ulp = np.spacing(v.astype(np.float32)).astype(np.float64)
         cdf = lambda y: -np.expm1(-y)
@@ -354,9 +395,9 @@ class TestLegLattice:
 
     def test_top_mass(self):
         """The largest leg is 24 ln 2 and carries 383 * 2**-32 (see draw_gains)."""
-        top = legs(HALF - 1, 1)
-        assert legs(HALF - 1, -1) == top == pytest.approx(24 * np.log(2.0), rel=2**-23)
-        assert 2**32 - words_below(top, strict=True) == 383
+        top = legs(WORDS - 1)
+        assert top == pytest.approx(24 * np.log(2.0), rel=2**-23)
+        assert WORDS - words_below(top, strict=True) == 383
 
     def test_single_cascade_deep_fade(self):
         """N = 1: P(E F < t) at t = 1e-8 over the lattice, against
@@ -364,7 +405,7 @@ class TestLegLattice:
         most r = sqrt(t), so the pairs are counted from that side twice, less
         the pairs with both legs at most r."""
         t = 1e-8
-        small = np.concatenate([legs(np.arange(last_j(np.sqrt(t), False, sign) + 1), sign) for sign in (1, -1)])
+        small = legs(np.arange(words_below(np.sqrt(t), False)))
         partners = words_below(t / small, strict=True)
         one_side = partners.sum() * 2.0**-64
         both = np.minimum(partners, len(small)).sum() * 2.0**-64
