@@ -8,8 +8,8 @@ where ``metric`` is one of ``ber``, ``ser`` (simulation) or ``sep_exact``,
 ``sep_bound`` (analytic; the trailing columns are left empty).  Every float
 is printed with 17 significant digits so re-parsing reproduces the
 in-memory values exactly.  Rows go from the engines to the file as series
-blocks (CsvRows): one (scheme, N, M) over a stretch of the SNR grid, each
-written by one string format, with the bytes a row-at-a-time writer gives.
+blocks (CsvRows): one (scheme, N, M) over its SNR grid, each written by one
+string format, with the bytes a row-at-a-time writer gives.
 Alongside each CSV a small matplotlib script is generated; the tool itself
 renders nothing.
 
@@ -58,13 +58,6 @@ FIGURES = {
 }
 FIGURE_PRESETS = tuple(FIGURES)
 
-# Grid points per AnalyticModel and per row block in analytic_rows: large
-# enough to amortise the per-call cost, small enough that the (points x nodes)
-# temporaries stay a few hundred kB (whole 601-point grids at once raised the
-# peak RSS of a process running analytic --bound for every scheme and M over
-# four N from 32 to 36 MB).
-_ANALYTIC_BLOCK = 64
-
 M_HELP = (
     "modulation order; dual-hop links use BPSK at M = 2 and square QAM above "
     "(4, 16, 64, ...), access-point links M-PSK"
@@ -87,9 +80,9 @@ class CsvRow:
 
 
 class _Block:
-    """The rows of one series (scheme, N, M) over a stretch of its SNR grid,
-    SNR-major: at each SNR one row per metric.  ``value`` holds one column
-    over the stretch per metric, a list or a float array; so do ``trials``,
+    """The rows of one series (scheme, N, M) over its SNR grid, or a stretch
+    of it, SNR-major: at each SNR one row per metric.  ``value`` holds one
+    column over the grid per metric, a list or a float array; so do ``trials``,
     ``errors`` and ``stderr``, or they are None where the field is left
     empty.  A plain class, as a frozen dataclass would add 0.7 ms to each
     import of this module."""
@@ -310,24 +303,16 @@ def analytic_rows(
     nodes: int = 256,
     include_bound: bool = False,
 ) -> CsvRows:
-    """Exact (and optionally bounded) SEP rows over an SNR grid.
-
-    The grid is evaluated in blocks of _ANALYTIC_BLOCK points, one
-    AnalyticModel and one row block each; every value equals the one-point
-    evaluation.
-    """
+    """Exact (and optionally bounded) SEP rows over an SNR grid: one row block
+    from one AnalyticModel of the grid; every value equals the one-point evaluation."""
     kind = _constellation_kind(scheme, order)
     metrics = ("sep_exact", "sep_bound") if include_bound else ("sep_exact",)
     grid_db = list(grid_db)
-    rows = CsvRows()
-    for start in range(0, len(grid_db), _ANALYTIC_BLOCK):
-        block = grid_db[start : start + _ANALYTIC_BLOCK]
-        model = AnalyticModel(scheme, n, np.array([db_to_linear(db) for db in block]))
-        value = [_exact_sep(model, order, kind, nodes)]
-        if include_bound:
-            value.append(analytic.sep_upper_bound(model, order, kind))
-        rows.blocks.append(_Block(scheme.value, n, order, block, metrics, tuple(value)))
-    return rows
+    model = AnalyticModel(scheme, n, np.array([db_to_linear(db) for db in grid_db]))
+    value = [_exact_sep(model, order, kind, nodes)]
+    if include_bound:
+        value.append(analytic.sep_upper_bound(model, order, kind))
+    return CsvRows([_Block(scheme.value, n, order, grid_db, metrics, tuple(value))])
 
 
 def simulation_rows(

@@ -60,6 +60,11 @@ class Constellation:
     points: np.ndarray
     bit_labels: np.ndarray
 
+    def __post_init__(self) -> None:  # private read-only copies: a checked config cannot change
+        for name in ("points", "bit_labels"):
+            object.__setattr__(self, name, np.array(getattr(self, name)))
+            getattr(self, name).flags.writeable = False
+
     def __eq__(self, other: object) -> bool:  # the arrays compare by content
         if not (isinstance(other, Constellation) and (self.kind, self.order) == (other.kind, other.order)):
             return False

@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ris_linklab.analytic import AnalyticModel, db_to_linear, sep_upper_bound
+from ris_linklab.analytic import _SNR_BLOCK, AnalyticModel, db_to_linear, sep_upper_bound
 from ris_linklab.cli import (
-    _ANALYTIC_BLOCK,
     CSV_HEADER,
     FIGURES,
     CsvRow,
@@ -82,7 +81,7 @@ class TestCsvSchema:
     def test_analytic_rows_match_one_point_evaluation(self, scheme):
         """Blocked rows equal rows built from one AnalyticModel per point."""
         grid = [-40.0 + 0.5 * k for k in range(150)]
-        assert len(grid) > _ANALYTIC_BLOCK and len(grid) % _ANALYTIC_BLOCK
+        assert len(grid) > _SNR_BLOCK and len(grid) % _SNR_BLOCK
         kind = _constellation_kind(scheme, 16)
         expected = []
         for db in grid:
@@ -91,11 +90,30 @@ class TestCsvSchema:
             expected.append(CsvRow(scheme.value, 64, 16, db, "sep_bound", sep_upper_bound(point, 16, kind)))
         assert analytic_rows(scheme, 64, 16, grid, include_bound=True) == expected
 
+    def test_analytic_rows_build_one_model_per_series(self, monkeypatch):
+        """A series is one AnalyticModel over its whole grid, however long,
+        and one row block; the engine slices the grid itself."""
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(AnalyticModel(*args, **kwargs))
+            return built[-1]
+
+        import ris_linklab.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "AnalyticModel", counted)
+        grid = [-40.0 + 0.25 * k for k in range(3 * _SNR_BLOCK + 5)]
+        rows = analytic_rows(Scheme.DH_INTELLIGENT, 16, 16, grid, include_bound=True)
+        assert len(built) == 1 and built[0].snr.shape == (len(grid),)
+        assert len(rows.blocks) == 1 and len(rows) == 2 * len(grid)
+        rows += analytic_rows(Scheme.AP_BLIND, 4, 4, grid[:1])
+        assert len(built) == 2 and len(rows.blocks) == 2
+
     def test_writer_bytes_match_csv_module(self, tmp_path):
         """write_rows writes the bytes of a csv.writer reference, on awkward
         values too, whether it is given the row blocks or a list of the rows."""
         grid = [-0.0, *(-30.0 + 0.5 * k for k in range(100))]  # 0.0 at k = 60
-        assert len(grid) > _ANALYTIC_BLOCK and 0.0 in grid[1:]
+        assert len(grid) > _SNR_BLOCK and 0.0 in grid[1:]
         rows = analytic_rows(Scheme.AP_BLIND, 4, 16, grid, include_bound=True)
         rows += analytic_rows(Scheme.DH_INTELLIGENT, 16, 16, grid, include_bound=True)
         rows += analytic_rows(Scheme.AP_BLIND, 4, 16, [-1.5, 0.0], include_bound=True)
@@ -120,10 +138,10 @@ class TestCsvSchema:
         """A list of CsvRow writes the bytes of the CsvRows it came from, and
         each run of rows one block can hold (one series, one empty-field
         pattern, the same metrics at each SNR) becomes one block: a whole
-        analytic series comes back as one block, however analytic_rows split
-        it.  A run that breaks its metric cycle ends its block there."""
+        analytic series, which analytic_rows gives as one block, comes back
+        as one block.  A run that breaks its metric cycle ends its block there."""
         grid = [-40.0 + 0.5 * k for k in range(100)]
-        assert len(grid) > _ANALYTIC_BLOCK
+        assert len(grid) > _SNR_BLOCK
         bound = analytic_rows(Scheme.DH_INTELLIGENT, 16, 16, grid, include_bound=True)
         simulated = simulation_rows(Scheme.AP_BLIND, 2, 4, [0.0, 3.0, 6.0], seed=1, max_trials=10_000, min_errors=50)
         mixed = CsvRows()
@@ -145,7 +163,7 @@ class TestCsvSchema:
             assert (tmp_path / f"{name}_list.csv").read_bytes() == (tmp_path / f"{name}_blocks.csv").read_bytes()
             assert (tmp_path / f"{name}_list.csv").read_bytes() == csv_module_bytes(plain, tmp_path / "ref.csv")
             assert CsvRows(_blocks(plain)) == plain
-        assert len(bound.blocks) == 2
+        assert len(bound.blocks) == 1
 
     def test_signed_zero_snr_keeps_its_sign(self, tmp_path):
         """0.0 == -0.0, so a cache keyed by SNR value could print one as the
@@ -668,6 +686,29 @@ def test_cli_commands_import_no_scipy(tmp_path):
         "    assert main(argv) == 0, argv\n"
         "leaked = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
         "sys.exit(f'scipy imported: {leaked}' if leaked else 0)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_analytic_commands_load_no_numpy_random(tmp_path):
+    """analytic and compare run in a fresh interpreter without loading
+    numpy.random, which only the simulator needs and which costs a first
+    call about 16 ms of import."""
+    calls = [
+        ["compare", "--scheme-a", "dh_intelligent", "--scheme-b", "ap_intelligent", "--n-a", "64",
+         "--target", "1e-5"],
+        ["analytic", "--scheme", "dh_blind", "--n", "16", "--m", "16", "--snr-start-db", "-10",
+         "--snr-stop-db", "10", "--bound", "--out", f"{tmp_path}/an.csv"],
+    ]
+    script = (
+        "import sys\n"
+        "from ris_linklab.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "sys.exit('numpy.random loaded' if 'numpy.random' in sys.modules else 0)\n"
     )
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -106,6 +106,30 @@ class TestValueEquality:
         assert qpsk != "qpsk" and qpsk != SchemeConfig(Scheme.AP_INTELLIGENT, 4, qpsk)
 
 
+class TestReadOnlyArrays:
+    """A built Constellation's arrays cannot change, so a checked config
+    stays as it was checked (a zeroed bit_labels once made every bit error
+    count 0 with no error raised)."""
+
+    @pytest.mark.parametrize("kind,order", ALL_KINDS_AND_ORDERS)
+    def test_writing_either_array_raises(self, kind, order):
+        c = build_constellation(kind, order)
+        for array in (c.points, c.bit_labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert c == build_constellation(kind, order)
+
+    def test_callers_arrays_are_copied(self):
+        built = build_constellation(ConstellationKind.QAM, 16)
+        points, labels = built.points.copy(), built.bit_labels.copy()
+        c = Constellation(built.kind, 16, points, labels)
+        points[:], labels[:] = 0, 0
+        assert c == built and hash(c) == hash(built)
+        assert not (np.shares_memory(c.points, points) or np.shares_memory(c.bit_labels, labels))
+
+
 class TestGrayLabels:
     @pytest.mark.parametrize("kind,order", [
         (kind, 2**k) for kind in ConstellationKind for k in range(1, 11)
