@@ -265,7 +265,7 @@ class TestArraySnr:
     @pytest.mark.parametrize("sep", [sep_mqam, sep_mpsk])
     def test_long_grid_memory_is_bounded(self, sep):
         """The integrals take a long grid a slice at a time: 4096 points peak
-        below 2 MiB of traced memory (24 MB when evaluated at once)."""
+        below 2 MiB of traced memory (25 MB when evaluated at once)."""
         long = model(Scheme.DH_INTELLIGENT, 64, np.geomspace(1e-7, 1.0, 4096))
         sep(long, 16)  # fills the quadrature node cache
         tracemalloc.start()
