@@ -282,6 +282,24 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(start + k * step for k in range(count))
 
 
+def _linear_snr(grid_db: Sequence[float]) -> np.ndarray:
+    """The linear Es/N0 10^(dB/10) of each grid point, refusing a point whose
+    value is not a finite, non-zero float: outside about -3236 to +3082 dB."""
+    try:
+        snr = np.array([db_to_linear(db) for db in grid_db])
+    except OverflowError:
+        snr = None
+    if snr is None or not np.all((snr > 0) & (snr < math.inf)):
+        for db in grid_db:  # the first point to blame
+            try:
+                if 0.0 < db_to_linear(db) < math.inf:
+                    continue
+            except OverflowError:
+                pass
+            raise ValueError(f"SNR {db} dB has no finite, non-zero linear value 10**(dB/10)")
+    return snr
+
+
 def _constellation_kind(scheme: Scheme, order: int) -> ConstellationKind:
     """The link's default constellation (schemes._link_kind); every command refuses an order it lacks."""
     kind = _link_kind(scheme, order)
@@ -308,7 +326,7 @@ def analytic_rows(
     kind = _constellation_kind(scheme, order)
     metrics = ("sep_exact", "sep_bound") if include_bound else ("sep_exact",)
     grid_db = list(grid_db)
-    model = AnalyticModel(scheme, n, np.array([db_to_linear(db) for db in grid_db]))
+    model = AnalyticModel(scheme, n, _linear_snr(grid_db))
     value = [_exact_sep(model, order, kind, nodes)]
     if include_bound:
         value.append(analytic.sep_upper_bound(model, order, kind))
@@ -362,6 +380,8 @@ def run_figure_preset(
     if name not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_PRESETS}")
     analytic._leggauss(nodes)  # refuses nodes < 16 before the first series runs
+    if snr_override:  # every preset draws a curve over the grid
+        _linear_snr(snr_override)
     rows = CsvRows()
     for scheme, n, order, window, simulate, curve, bound in FIGURES[name]:
         grid = snr_override or _snr_grid(*window, 1.0)

@@ -34,7 +34,7 @@ from ris_linklab.rng import RngStream
 from ris_linklab.schemes import Scheme
 
 from average_snr import average_snr
-from bench.oracles import qfunc, rayleigh_mpsk_ser
+from bench.oracles import qfunc, rayleigh_mpsk_ser, rayleigh_mqam_ser
 from simpson import adaptive_simpson
 
 PI = np.pi
@@ -82,6 +82,28 @@ class TestMgf:
         with pytest.raises(ValueError):
             mgf(model(Scheme.DH_BLIND, 4, 1.0), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rejects_non_finite_s(self, scheme, bad):
+        """NaN would pass silently and -inf give NaN (inf/inf) or 0, by scheme."""
+        m = model(scheme, 4, 1.0)
+        for call in (mgf, log_mgf):
+            for s in (bad, np.array([-1.0, bad])):
+                with pytest.raises(ValueError, match=r"finite s <= 0"):
+                    call(m, s)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_shapes_follow_snr_and_s(self, scheme):
+        """snr.shape + s.shape, each value that of its one-point call."""
+        snr, s = np.array([1e-3, 0.5, 20.0]), np.array([[-1e-3, -0.5], [-1.0, -7.25]])
+        for call in (mgf, log_mgf):
+            assert np.ndim(call(model(scheme, 16, 0.5), -1.0)) == 0
+            grid = call(model(scheme, 16, snr), s)
+            assert grid.shape == (3, 2, 2)
+            for i, point in enumerate(snr):
+                for j, k in np.ndindex(s.shape):
+                    assert grid[i, j, k] == call(model(scheme, 16, point), s[j, k])
+
     def test_against_monte_carlo_expectation(self):
         """E[exp(s*gamma)] estimated from 1e6 draws of the true composite gain."""
         n, snr, s = 16, 0.01, -1.0
@@ -126,6 +148,17 @@ class TestSepMpsk:
                 snr = float(db_to_linear(db))
                 quad = sep_mpsk(model(Scheme.DH_BLIND, n, snr), 2)
                 assert quad == pytest.approx(rayleigh_mpsk_ser(2, n * snr), abs=1e-10)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    @pytest.mark.parametrize("scheme", [Scheme.AP_BLIND, Scheme.DH_BLIND])
+    def test_blind_mary_matches_closed_form(self, scheme, order):
+        """ap_blind M-PSK and dh_blind square M-QAM against Simon & Alouini's
+        Rayleigh closed forms at mean SNR N*snr, N = 1 ... 4096."""
+        sep, closed_form = (sep_mpsk, rayleigh_mpsk_ser) if scheme.is_access_point else (sep_mqam, rayleigh_mqam_ser)
+        snr = np.array([db_to_linear(db) for db in range(-20, 31)])
+        for n in (1 << k for k in range(13)):
+            want = closed_form(order, n * snr)
+            assert sep(model(scheme, n, snr), order) == pytest.approx(want, rel=1e-9, abs=0), n
 
     def test_blind_example_value(self):
         # r = 3 -> (1 - sqrt(3/4))/2
@@ -276,6 +309,25 @@ class TestArraySnr:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("scheme, sep", [
+        (Scheme.DH_INTELLIGENT, sep_mqam), (Scheme.AP_INTELLIGENT, sep_mpsk),
+        (Scheme.DH_BLIND, sep_mqam), (Scheme.AP_BLIND, sep_mpsk),
+    ])
+    def test_slice_is_computed_in_place(self, scheme, sep):
+        """A 64-point call holds at most two (points x nodes) arrays of 128 kB
+        at once for the intelligent schemes and one for blind, plus 16 kB for
+        the node vectors and the result."""
+        slices = 2 if scheme.is_intelligent else 1
+        one_slice = model(scheme, 64, np.geomspace(1e-7, 1.0, _SNR_BLOCK))
+        sep(one_slice, 16)  # fills the quadrature node cache
+        tracemalloc.start()
+        try:
+            sep(one_slice, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= slices * _SNR_BLOCK * 256 * 8 + 16 * 2**10
+
     @pytest.mark.parametrize("scheme", [Scheme.DH_INTELLIGENT, Scheme.AP_BLIND])
     def test_scalar_snr_returns_float(self, scheme):
         for call in self.calls(scheme, 16):
@@ -318,7 +370,8 @@ class TestArraySnr:
 
 class TestGlReduction:
     """_gl_integral reduces each row exactly as a one-row np.dot(w, row),
-    giving its integrand slices of at most _SNR_BLOCK points."""
+    giving its integrand the nodes once and slices of at most _SNR_BLOCK
+    points."""
 
     NODES = 256
 
@@ -331,20 +384,21 @@ class TestGlReduction:
     def test_block_equals_per_row_dot_bitwise(self, count):
         values = self.rows(count)
         _, w = _leggauss(self.NODES)
-        slices = []
+        slices, nodes = [], []
 
-        def func(rows, eta):  # the snr points are the row numbers
-            slices.append(len(rows))
-            return values[rows.astype(np.intp)]
+        def func(eta):
+            nodes.append(eta)
+            return lambda rows: slices.append(len(rows)) or values[rows.astype(np.intp)]  # snr = row number
 
         got = _gl_integral(func, np.arange(count, dtype=float), -1.0, 1.0, self.NODES)  # half-width 1
+        assert len(nodes) == 1 and nodes[0].tobytes() == _leggauss(self.NODES)[0].tobytes()
         assert got.shape == (count,) and max(slices) <= _SNR_BLOCK and sum(slices) == count
         assert got.tobytes() == np.array([np.dot(w, row) for row in values]).tobytes()
 
     def test_one_point_is_a_scalar_dot(self):
         values = self.rows(1)[0]
         _, w = _leggauss(self.NODES)
-        got = _gl_integral(lambda rows, eta: values[None], 1e-3, -1.0, 1.0, self.NODES)
+        got = _gl_integral(lambda eta: lambda rows: values[None], 1e-3, -1.0, 1.0, self.NODES)
         assert np.ndim(got) == 0
         assert float(got) == float(np.dot(w, values))
 

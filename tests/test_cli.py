@@ -450,6 +450,26 @@ class TestMainEntry:
         assert "non-zero N0" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("start, stop, bad", [
+        ("3100", "3100", "3100.0"),  # 10**310 overflows a float
+        ("-3300", "-3300", "-3300.0"),  # 10**-330 underflows to 0
+        ("3000", "3100", "3100.0"),  # the last of three points
+    ])
+    @pytest.mark.parametrize("command", [["analytic", "--scheme", "dh_blind", "--n", "4"], ["figure", "fig7"]])
+    def test_grid_without_linear_snr_is_usage_error(self, tmp_path, capsys, monkeypatch, command, start, stop, bad):
+        """An SNR whose 10**(dB/10) is not a finite, non-zero float is refused
+        by name before any series runs, simulated or analytic."""
+        import ris_linklab.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "run_sweep", lambda spec: pytest.fail("a series was simulated"))
+        rc = main([
+            *command, f"--snr-start-db={start}", f"--snr-stop-db={stop}", "--snr-step-db", "50",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: SNR {bad} dB has no finite, non-zero linear value 10**(dB/10)\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_dual_hop_order_8_is_usage_error(self, tmp_path, capsys):
         """Dual-hop links use BPSK at M = 2 and square QAM above, so M = 8 is refused."""
         rc = main([
