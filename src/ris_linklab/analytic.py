@@ -24,17 +24,21 @@ stated once per scheme by :func:`_mgf_rows`:
   at N = 4 between 0 and 20 dB).
 
 Average M-PSK/M-QAM symbol error probabilities follow from the standard
-finite-range MGF integrals, evaluated by Gauss-Legendre quadrature of
-``nodes`` points, at least 16 (the integrands are smooth and bounded).
-The asymptotic laws are one number each: :func:`waterfall_rate` (low SNR)
-and :func:`saturation_exponent` (high SNR, binary dual-hop).
+finite-range MGF (Craig) integrals.  For the intelligent schemes they are
+Gauss-Legendre quadratures of ``nodes`` points, at least 16 (the integrands
+are smooth and bounded); for blind, whose gamma is exponential, they are
+the Rayleigh closed forms of :func:`_blind_craig`, and ``nodes`` is only
+checked.  The asymptotic laws are one number each: :func:`waterfall_rate`
+(low SNR) and :func:`saturation_exponent` (high SNR, binary dual-hop).
 
 ``AnalyticModel.snr`` is a float or a 1-D array of linear Es/N0 values.
-One call evaluates a whole grid: the integrals take it _SNR_BLOCK points at
-a time against the quadrature nodes, computing each slice in place in two
-(points x nodes) arrays (one for blind), and each point's result equals,
-bit for bit, the call made with that point alone as a float.  A
-float SNR gives a float, an array SNR an array.
+One call evaluates a whole grid: the quadratures take it _SNR_BLOCK points
+at a time against the nodes, computing each slice in place in two
+(points x nodes) arrays, and the blind closed forms take it at once; each
+point's result equals, bit for bit, the call made with that point alone as
+a float.  A float SNR gives a float, an array SNR an array.  Every SNR the
+model accepts gives a finite value: an MGF term whose den overflows takes
+its limit M(s) = 0.
 """
 
 from __future__ import annotations
@@ -133,24 +137,29 @@ def _mgf_at(model: AnalyticModel, s, log: bool):
     if not ((s <= 0) & np.isfinite(s)).all():
         raise ValueError("mgf is only evaluated for finite s <= 0")
     snr = np.asarray(model.snr, dtype=float)
-    values = _mgf_rows(model.scheme, model.n_reflectors, s.reshape(-1))(snr.reshape(-1), log)
+    values = _mgf_rows(model.scheme, model.n_reflectors, s.reshape(-1), _top(model))(snr.reshape(-1), log)
     return values.reshape(snr.shape + s.shape)[()]
 
 
-def _mgf_rows(scheme: Scheme, n: int, s: np.ndarray):
+def _mgf_rows(scheme: Scheme, n: int, s: np.ndarray, top: float):
     """The MGF of (scheme, n) at the 1-D checked s, as a function of a 1-D
-    snr that gives the (len(snr), len(s)) values M(s), or log M(s) when
-    ``log``.  Each scheme is the member of den^(-k) * exp(num/den), with
-    den = 1 - a*s*snr and num = b*s*snr, stated here once; the terms in s
-    are formed once, the values in place in two (len(snr), len(s)) arrays
-    for the intelligent schemes and one for blind, whose M(s) is one
-    reciprocal.  The intelligent operations keep the order of
-    -k*log(den) + num/den, on which the curves' bytes depend."""
+    snr, none of it above ``top``, that gives the (len(snr), len(s)) values
+    M(s), or log M(s) when ``log``.  Each scheme is the member of
+    den^(-k) * exp(num/den), with den = 1 - a*s*snr and num = b*s*snr,
+    stated here once; the terms in s are formed once, the values in place in
+    two (len(snr), len(s)) arrays for the intelligent schemes and one for
+    blind, whose M(s) is one reciprocal.  The intelligent operations keep the
+    order of -k*log(den) + num/den, on which the curves' bytes depend.
+
+    Where a*s*snr overflows, den = inf and M(s) takes its limit 0 (log M =
+    -inf): den^(-k) -> 0 while num/den, which would read inf/inf, stays
+    finite.  Whether any a*s*snr or b*s*snr can overflow is decided once,
+    from the largest |s| and ``top``, so ordinary grids keep the plain path."""
     if scheme.is_intelligent:
         m2, v = _moments(scheme, n)
-        k, a, b = 0.5, s * v, s * m2
+        k, a, b, scale = 0.5, s * v, s * m2, max(m2, v)
     else:  # exponential gamma with mean N * snr: num = 0
-        k, a, b = 1.0, s * n, None
+        k, a, b, scale = 1.0, s * n, None, n
 
     def values(snr: np.ndarray, log: bool = False) -> np.ndarray:
         den = _outer(snr, a)
@@ -167,7 +176,21 @@ def _mgf_rows(scheme: Scheme, n: int, s: np.ndarray):
         den += num
         return den if log else np.exp(den, out=den)
 
-    return values
+    if -float(s.min(initial=0.0)) * scale * top < math.inf:  # s <= 0
+        return values
+
+    def limits(snr: np.ndarray, log: bool = False) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = values(snr, log)
+            out[np.isinf(_outer(snr, a))] = -math.inf if log else 0.0
+        return out
+
+    return limits
+
+
+def _top(model: AnalyticModel) -> float:
+    """The model's largest snr."""
+    return model.snr if isinstance(model.snr, float) else float(model.snr.max(initial=0.0))
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -187,10 +210,14 @@ def _moments(scheme: Scheme, n: int) -> tuple[float, float]:
     return math.prod((n * n, *(PI,) * legs)) / 4.0**legs, 2 * n * (1 - PI**legs / 4.0**legs)
 
 
-@lru_cache(maxsize=32)
-def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_nodes(nodes: int) -> None:
+    """Refuse a quadrature order below 16, for every scheme."""
     if nodes < 16:
         raise ValueError(f"nodes must be >= 16, got {nodes}")
+
+
+@lru_cache(maxsize=32)
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(nodes)
 
 
@@ -215,6 +242,50 @@ def _gl_integral(func, snr, a: float, b: float, nodes: int):
     return half * out.reshape(np.shape(snr))
 
 
+def _craig(model: AnalyticModel, c: float, theta: float, nodes: int):
+    """Integral over eta in [0, theta] of M_gamma(-c / sin^2 eta), c > 0, for
+    each point of the model's snr: by :func:`_gl_integral` of ``nodes``
+    points for the intelligent schemes, in closed form for blind."""
+    _check_nodes(nodes)
+    if not model.scheme.is_intelligent:
+        return _blind_craig(theta, c * model.n_reflectors, model.snr)
+
+    def integrand(eta):
+        return _mgf_rows(model.scheme, model.n_reflectors, -c / np.sin(eta) ** 2, _top(model))
+
+    return _gl_integral(integrand, model.snr, 0.0, theta, nodes)
+
+
+def _blind_craig(theta: float, cn: float, snr):
+    """Integral over eta in [0, theta] of sin^2 eta / (sin^2 eta + x), with
+    x = cn * snr: the Craig integrand of a blind model, whose gamma is
+    exponential with mean N * snr, at cn = c * N (Simon & Alouini, *Digital
+    Communication over Fading Channels*, Sec. 8.2).
+
+    With beta = sqrt(x / (1 + x)) and 1 - beta = 1 / ((1 + x)(1 + beta)), it
+    is (1 - beta) * pi/2 at theta = pi/2 and, below pi/2,
+
+        (1 - beta) * theta - beta * atan((1 - beta) tan(theta) / (beta + tan^2 theta)),
+
+    which subtracts no near-equal terms, so the high-SNR tail keeps its
+    digits; above pi/2 it is twice the value at pi/2 less the value at
+    pi - theta.  beta and x come from 1/x = (1/snr) / cn, never from
+    cn * snr: 1/x = inf (a subnormal snr) is the limit x = 0, where the
+    integral is theta, and x = inf is the limit 0.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        inv_x = (1.0 / np.asarray(snr, dtype=float)) / cn
+        x = 1.0 / inv_x
+    beta = 1.0 / np.sqrt(1.0 + inv_x)
+    one_minus_beta = 1.0 / (1.0 + x) / (1.0 + beta)
+    if theta == PI / 2.0:
+        return (PI / 2.0) * one_minus_beta
+    low = min(theta, PI - theta)
+    tan = math.tan(low)
+    part = one_minus_beta * low - beta * np.arctan(one_minus_beta * tan / (beta + tan * tan))
+    return part if theta < PI / 2.0 else PI * one_minus_beta - part
+
+
 def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256):
     """Average M-PSK SEP, for dual-hop PSK and the access-point schemes.
 
@@ -222,22 +293,14 @@ def sep_mpsk(model: AnalyticModel, order: int, nodes: int = 256):
     """
     check_order(ConstellationKind.PSK, order)
     c = np.sin(PI / order) ** 2
-
-    def integrand(eta):
-        return _mgf_rows(model.scheme, model.n_reflectors, -c / np.sin(eta) ** 2)
-
-    return _scalar_or_array(_gl_integral(integrand, model.snr, 0.0, (order - 1) * PI / order, nodes) / PI)
+    return _scalar_or_array(_craig(model, c, (order - 1) * PI / order, nodes) / PI)
 
 
 def sep_mqam(model: AnalyticModel, order: int, nodes: int = 256):
     """Average square M-QAM SEP (dual-hop schemes only)."""
     q, c = _qam_terms(model.scheme, order)
-
-    def integrand(eta):
-        return _mgf_rows(model.scheme, model.n_reflectors, c / np.sin(eta) ** 2)
-
-    first = _gl_integral(integrand, model.snr, 0.0, PI / 2.0, nodes)
-    second = _gl_integral(integrand, model.snr, 0.0, PI / 4.0, nodes)
+    first = _craig(model, -c, PI / 2.0, nodes)
+    second = _craig(model, -c, PI / 4.0, nodes)
     return _scalar_or_array((4.0 * q / PI) * first - (4.0 * q * q / PI) * second)
 
 

@@ -62,6 +62,7 @@ M_HELP = (
     "modulation order; dual-hop links use BPSK at M = 2 and square QAM above "
     "(4, 16, 64, ...), access-point links M-PSK"
 )
+NODES_HELP = "Gauss-Legendre node count of the intelligent curves (at least 16; the blind curves are closed forms)"
 
 __all__ = ["main", "run_figure_preset", "compare", "write_rows", "read_rows", "CsvRow", "CsvRows"]
 
@@ -379,7 +380,7 @@ def run_figure_preset(
     """Reproduce one figure preset; returns (csv_path, plot_script_path)."""
     if name not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_PRESETS}")
-    analytic._leggauss(nodes)  # refuses nodes < 16 before the first series runs
+    analytic._check_nodes(nodes)  # refuses nodes < 16 before the first series runs
     if snr_override:  # every preset draws a curve over the grid
         _linear_snr(snr_override)
     rows = CsvRows()
@@ -464,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analytic", help="evaluate exact SEP curves")
     p_an.add_argument("--scheme", type=_scheme, required=True)
     _add_common(p_an, INTELLIGENT_RANGE_DB)
-    p_an.add_argument("--nodes", type=int, default=256, help="quadrature node count")
+    p_an.add_argument("--nodes", type=int, default=256, help=NODES_HELP)
     p_an.add_argument("--bound", action="store_true", help="also emit the closed-form upper bound")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo sweep")
@@ -480,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--seed", type=int, default=0)
     p_fig.add_argument("--max-trials", type=int, default=10_000_000)
     p_fig.add_argument("--min-errors", type=int, default=200)
-    p_fig.add_argument("--nodes", type=int, default=256)
+    p_fig.add_argument("--nodes", type=int, default=256, help=NODES_HELP)
     p_fig.add_argument("--snr-start-db", type=float)
     p_fig.add_argument("--snr-stop-db", type=float)
     p_fig.add_argument("--snr-step-db", type=float, help="grid step in dB (default 1)")
@@ -492,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--n-b", type=int)
     p_cmp.add_argument("--m", type=int, default=2, help=M_HELP)
     p_cmp.add_argument("--target", type=float, required=True)
-    p_cmp.add_argument("--nodes", type=int, default=256)
+    p_cmp.add_argument("--nodes", type=int, default=256, help=NODES_HELP)
 
     return parser
 

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from ris_linklab.analytic import (
@@ -191,10 +192,93 @@ class TestSepMpsk:
         with pytest.raises(ValueError):
             sep_mpsk(model(Scheme.DH_BLIND, 4, 1.0), 1)
 
-    def test_rejects_fewer_than_16_nodes(self):
-        with pytest.raises(ValueError, match="nodes must be >= 16"):
-            sep_mpsk(model(Scheme.DH_BLIND, 4, 1.0), 2, nodes=15)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rejects_fewer_than_16_nodes(self, scheme):
+        """For every scheme, also blind, whose closed forms use no nodes."""
+        calls = [lambda m: sep_mpsk(m, 2, nodes=15)]
+        if not scheme.is_access_point:
+            calls.append(lambda m: sep_mqam(m, 16, nodes=15))
+        for call in calls:
+            with pytest.raises(ValueError, match="nodes must be >= 16, got 15"):
+                call(model(scheme, 4, 1.0))
 
+
+def craig_quad(theta, x):
+    """Integral over [0, theta] of the blind Craig integrand
+    M_gamma(-c / sin^2 eta) = sin^2 eta / (sin^2 eta + x) by scipy's adaptive
+    quadrature, split at sqrt(x), the width of its rise from eta = 0."""
+    f = lambda eta: math.sin(eta) ** 2 / (math.sin(eta) ** 2 + x)
+    cuts = [0.0, *(e for e in (math.sqrt(x), 4.0 * math.sqrt(x)) if e < theta), theta]
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        value, error = quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert error <= 1e-13 * abs(value)
+        total += value
+    return total
+
+
+class TestBlindClosedForm:
+    """The blind Craig integrals in closed form, against independent adaptive
+    quadrature where the oracle's subtracted forms lose digits."""
+
+    NS = (1, 4, 16, 64, 256, 1024, 4096)
+    SNR = np.array([db_to_linear(db) for db in range(-20, 61, 5)])
+
+    @pytest.mark.parametrize("scheme", [Scheme.DH_BLIND, Scheme.AP_BLIND])
+    @pytest.mark.parametrize("order", [2, 4, 8, 16, 32, 64, 128, 256])
+    def test_mpsk_against_quad(self, scheme, order):
+        c, theta = np.sin(PI / order) ** 2, (order - 1) * PI / order
+        for n in self.NS:
+            got = sep_mpsk(model(scheme, n, self.SNR), order)
+            want = np.array([craig_quad(theta, c * n * snr) / PI for snr in self.SNR])
+            assert got == pytest.approx(want, rel=1e-12, abs=0), n
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_mqam_against_quad(self, order):
+        q, c = 1.0 - 1.0 / math.sqrt(order), 3.0 / (2.0 * (order - 1))
+        for n in self.NS:
+            got = sep_mqam(model(Scheme.DH_BLIND, n, self.SNR), order)
+            x = c * n * self.SNR
+            first = np.array([craig_quad(PI / 2, v) for v in x])
+            second = np.array([craig_quad(PI / 4, v) for v in x])
+            want = (4.0 * q / PI) * first - (4.0 * q * q / PI) * second
+            assert got == pytest.approx(want, rel=1e-12, abs=0), n
+
+    @pytest.mark.parametrize("scheme", [Scheme.DH_BLIND, Scheme.AP_BLIND])
+    def test_nodes_do_not_move_blind_curves(self, scheme):
+        """nodes is checked for blind but never used: 16 and 512 give the same bytes."""
+        m = model(scheme, 64, self.SNR)
+        calls = [lambda nodes: sep_mpsk(m, 2, nodes), lambda nodes: sep_mpsk(m, 64, nodes)]
+        if not scheme.is_access_point:
+            calls.append(lambda nodes: sep_mqam(m, 16, nodes))
+        for call in calls:
+            assert call(16).tobytes() == call(512).tobytes()
+
+
+# Every SNR the CLI accepts, about -3236 to +3082 dB, near both ends and at the
+# onsets where the intelligent quadrature turned NaN (2958 dB at N = 4096 to
+# 2996 dB at N = 1) before overflowed MGF terms took their limit.
+EXTREME_DB = (-3236.0, -3235.0, -3200.0, -3083.0, -3082.0, -3000.0, 0.0, 2950.0, 2958.0, 2960.0,
+              2990.0, 2995.0, 2996.0, 3000.0, 3050.0, 3080.0, 3082.0, 3082.5)
+
+
+@pytest.mark.parametrize("n", [1, 4096])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_curves_are_finite_over_every_accepted_snr(scheme, n):
+    """Each exact curve and bound is finite, lies in [0, 1] and does not
+    increase with SNR, without a RuntimeWarning (which fails the suite)."""
+    snr = np.array([db_to_linear(db) for db in EXTREME_DB])
+    assert np.all((snr > 0) & np.isfinite(snr))
+    m = model(scheme, n, snr)
+    curves = [sep_mpsk(m, order) for order in (2, 64)]
+    curves += [sep_upper_bound(m, order) for order in (2, 64)]
+    if not scheme.is_access_point:
+        curves += [sep_mqam(m, order) for order in (4, 256)]
+        curves += [sep_upper_bound(m, order, ConstellationKind.QAM) for order in (4, 256)]
+    for curve in curves:
+        assert np.all(np.isfinite(curve)) and np.all((curve >= 0) & (curve <= 1))
+        assert np.all(np.diff(curve) <= 0), curve
+    assert curves[0][-1] < 1e-150  # the top of the grid reaches the zero-error tail
 
 POWER_OF_TWO, SQUARE = "order must be a power of two >= 2", "square power-of-two order"
 
@@ -315,9 +399,10 @@ class TestArraySnr:
     ])
     def test_slice_is_computed_in_place(self, scheme, sep):
         """A 64-point call holds at most two (points x nodes) arrays of 128 kB
-        at once for the intelligent schemes and one for blind, plus 16 kB for
-        the node vectors and the result."""
-        slices = 2 if scheme.is_intelligent else 1
+        at once for the intelligent schemes and none for blind, whose closed
+        forms hold a few 64-point arrays, plus 16 kB for the node vectors and
+        the result."""
+        slices = 2 if scheme.is_intelligent else 0
         one_slice = model(scheme, 64, np.geomspace(1e-7, 1.0, _SNR_BLOCK))
         sep(one_slice, 16)  # fills the quadrature node cache
         tracemalloc.start()

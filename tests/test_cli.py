@@ -713,6 +713,32 @@ def test_cli_commands_import_no_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_analytic_at_the_top_of_the_grid_is_silent(tmp_path):
+    """analytic near +3082 dB, the top of the accepted grid, exits 0 and
+    writes nothing to stderr: an overflowing MGF term takes its limit instead
+    of reaching the user as a numpy RuntimeWarning (or a NaN row).  In a fresh
+    interpreter with the default warning filters, which print such warnings."""
+    calls = [
+        ["analytic", "--scheme", scheme, "--n", "1", "4", "4096", "--m", str(m), "--snr-start-db", "3080",
+         "--snr-stop-db", "3080", "--bound", "--out", f"{tmp_path}/{scheme}_{m}.csv"]
+        for scheme in ("dh_intelligent", "ap_intelligent", "dh_blind", "ap_blind") for m in (2, 16)
+    ]
+    calls.append(["analytic", "--scheme", "dh_intelligent", "--n", "4", "--snr-start-db", "2990",
+                  "--snr-stop-db", "3000", "--snr-step-db", "5", "--out", f"{tmp_path}/onset.csv"])
+    script = (
+        "from ris_linklab.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    values = [r.value for r in read_rows(tmp_path / "onset.csv")]
+    assert len(values) == 3 and all(0.0 < v < 1e-150 for v in values)
+
+
 def test_analytic_commands_load_no_numpy_random(tmp_path):
     """analytic and compare run in a fresh interpreter without loading
     numpy.random, which only the simulator needs and which costs a first
