@@ -280,6 +280,7 @@ def test_curves_are_finite_over_every_accepted_snr(scheme, n):
         assert np.all(np.diff(curve) <= 0), curve
     assert curves[0][-1] < 1e-150  # the top of the grid reaches the zero-error tail
 
+
 POWER_OF_TWO, SQUARE = "order must be a power of two >= 2", "square power-of-two order"
 
 
