@@ -60,10 +60,13 @@ PI = np.pi
 # at N = 16..1024 from 32 to 36 MB, and a 4096-point sep_mqam traces 25 MB, not 0.6.
 _SNR_BLOCK = 64
 
+# Largest quadrature order: _leggauss solves a dense (nodes x nodes) eigenproblem, whose
+# time grows as nodes^3 and memory as nodes^2: 0.9 s and 32 MiB at 2048 on a 2-vCPU Xeon.
+_MAX_NODES = 4096
+
 __all__ = [
     "AnalyticModel",
     "mgf",
-    "log_mgf",
     "sep_mpsk",
     "sep_mqam",
     "sep_upper_bound",
@@ -92,7 +95,7 @@ class AnalyticModel:
     snr: float | np.ndarray  # linear Es/N0
 
     def __post_init__(self) -> None:
-        _require_surface(self.n_reflectors)
+        object.__setattr__(self, "n_reflectors", _require_surface(self.n_reflectors))
         snr = np.array(self.snr, dtype=float)
         if snr.ndim > 1:
             raise ValueError(f"snr must be a float or a 1-D array, got shape {snr.shape}")
@@ -116,73 +119,50 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def log_mgf(model: AnalyticModel, s):
-    """log E[exp(s*gamma)] for finite s <= 0, of shape ``snr.shape + s.shape``.
-
-    Evaluated in log space so very large surfaces never overflow; the
-    result underflows cleanly to -inf -> mgf 0 where the probability mass
-    is negligible.
-    """
-    return _mgf_at(model, s, log=True)
-
-
 def mgf(model: AnalyticModel, s):
-    """E[exp(s*gamma)] for finite s <= 0; equals 1 at s = 0."""
-    return _mgf_at(model, s, log=False)
-
-
-def _mgf_at(model: AnalyticModel, s, log: bool):
-    """:func:`mgf` (or :func:`log_mgf`) at every pair of the model's snr and s."""
+    """E[exp(s*gamma)] for finite s <= 0, of shape ``snr.shape + s.shape``; 1 at s = 0."""
     s = np.asarray(s, dtype=float)
     if not ((s <= 0) & np.isfinite(s)).all():
         raise ValueError("mgf is only evaluated for finite s <= 0")
-    snr = np.asarray(model.snr, dtype=float)
-    values = _mgf_rows(model.scheme, model.n_reflectors, s.reshape(-1), _top(model))(snr.reshape(-1), log)
-    return values.reshape(snr.shape + s.shape)[()]
+    values = _mgf_rows(model.scheme, model.n_reflectors, s.reshape(-1), _top(model))(np.ravel(model.snr))
+    return values.reshape(np.shape(model.snr) + s.shape)[()]
 
 
 def _mgf_rows(scheme: Scheme, n: int, s: np.ndarray, top: float):
-    """The MGF of (scheme, n) at the 1-D checked s, as a function of a 1-D
-    snr, none of it above ``top``, that gives the (len(snr), len(s)) values
-    M(s), or log M(s) when ``log``.  Each scheme is the member of
-    den^(-k) * exp(num/den), with den = 1 - a*s*snr and num = b*s*snr,
-    stated here once; the terms in s are formed once, the values in place in
-    two (len(snr), len(s)) arrays for the intelligent schemes and one for
-    blind, whose M(s) is one reciprocal.  The intelligent operations keep the
-    order of -k*log(den) + num/den, on which the curves' bytes depend.
-
-    Where a*s*snr overflows, den = inf and M(s) takes its limit 0 (log M =
-    -inf): den^(-k) -> 0 while num/den, which would read inf/inf, stays
-    finite.  Whether any a*s*snr or b*s*snr can overflow is decided once,
-    from the largest |s| and ``top``, so ordinary grids keep the plain path."""
-    if scheme.is_intelligent:
+    """The MGF of (scheme, n) at the 1-D checked s, as a function of a 1-D snr
+    (none of it above ``top``) giving the (len(snr), len(s)) values M(s) of the
+    member of den^(-k) * exp(num/den), den = 1 - a*s*snr, num = b*s*snr, that
+    states the scheme once.  The values are formed in place: blind M(s) is one
+    reciprocal; intelligent keeps the order of exp(log(den)*(-k) + num/den), on
+    which the curves' bytes depend.  Where a*s*snr overflows, den = inf and M(s)
+    takes its limit 0 (num/den would read inf/inf); whether any term can
+    overflow is decided once, from the largest |s| and ``top``, so ordinary
+    grids keep the plain path."""
+    if scheme.is_intelligent:  # k = 1/2
         m2, v = _moments(scheme, n)
-        k, a, b, scale = 0.5, s * v, s * m2, max(m2, v)
-    else:  # exponential gamma with mean N * snr: num = 0
-        k, a, b, scale = 1.0, s * n, None, n
+        a, b, scale = s * v, s * m2, max(m2, v)
+    else:  # exponential gamma with mean N * snr: k = 1, num = 0
+        a, b, scale = s * n, None, n
 
-    def values(snr: np.ndarray, log: bool = False) -> np.ndarray:
+    def values(snr: np.ndarray) -> np.ndarray:
         den = _outer(snr, a)
         np.subtract(1.0, den, out=den)
         if b is None:
-            if not log:
-                return np.reciprocal(den, out=den)
-            num = 0.0
-        else:
-            num = _outer(snr, b)
-            num /= den
+            return np.reciprocal(den, out=den)
+        num = _outer(snr, b)
+        num /= den
         np.log(den, out=den)
-        den *= -k
+        den *= -0.5
         den += num
-        return den if log else np.exp(den, out=den)
+        return np.exp(den, out=den)
 
     if -float(s.min(initial=0.0)) * scale * top < math.inf:  # s <= 0
         return values
 
-    def limits(snr: np.ndarray, log: bool = False) -> np.ndarray:
+    def limits(snr: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = values(snr, log)
-            out[np.isinf(_outer(snr, a))] = -math.inf if log else 0.0
+            out = values(snr)
+            out[np.isinf(_outer(snr, a))] = 0.0
         return out
 
     return limits
@@ -211,9 +191,11 @@ def _moments(scheme: Scheme, n: int) -> tuple[float, float]:
 
 
 def _check_nodes(nodes: int) -> None:
-    """Refuse a quadrature order below 16, for every scheme."""
+    """Refuse a quadrature order below 16 or above _MAX_NODES, for every scheme."""
     if nodes < 16:
         raise ValueError(f"nodes must be >= 16, got {nodes}")
+    if nodes > _MAX_NODES:
+        raise ValueError(f"nodes must be <= {_MAX_NODES}, got {nodes}")
 
 
 @lru_cache(maxsize=32)
@@ -337,7 +319,7 @@ def waterfall_rate(scheme: Scheme, n: int, order: int) -> float:
     Valid where v * Es/N0 << 1.  Only the intelligent schemes have the law:
     DH with BPSK or square QAM, AP with M-PSK.  The constant is unspecified.
     """
-    _require_surface(n)
+    n = _require_surface(n)
     if not scheme.is_intelligent:
         raise ValueError(f"no waterfall law for {scheme.name}")
     m2 = _moments(scheme, n)[0]
@@ -355,8 +337,7 @@ def saturation_exponent(n: int) -> float:
 
     Valid where N * Es/N0 >> 1.
     """
-    _require_surface(n)
-    m2, v = _moments(Scheme.DH_INTELLIGENT, n)
+    m2, v = _moments(Scheme.DH_INTELLIGENT, _require_surface(n))
     return -m2 / v
 
 

@@ -62,7 +62,10 @@ M_HELP = (
     "modulation order; dual-hop links use BPSK at M = 2 and square QAM above "
     "(4, 16, 64, ...), access-point links M-PSK"
 )
-NODES_HELP = "Gauss-Legendre node count of the intelligent curves (at least 16; the blind curves are closed forms)"
+NODES_HELP = (
+    f"Gauss-Legendre node count of the intelligent curves, 16 to {analytic._MAX_NODES} "
+    "(the blind curves are closed forms)"
+)
 
 __all__ = ["main", "run_figure_preset", "compare", "write_rows", "read_rows", "CsvRow", "CsvRows"]
 
@@ -232,14 +235,14 @@ def read_rows(path: Path) -> list[CsvRow]:
 
 PLOT_SCRIPT = """\
 #!/usr/bin/env python3
-\"\"\"Plot the series contained in {csv_name} (generated alongside it).\"\"\"
+\"\"\"Plot the series of the CSV file this script was generated alongside.\"\"\"
 import csv
 from collections import defaultdict
 
 import matplotlib.pyplot as plt
 
 series = defaultdict(list)
-with open("{csv_name}") as fh:
+with open({csv_name!r}) as fh:
     for rec in csv.DictReader(fh):
         key = (rec["scheme"], rec["N"], rec["M"], rec["metric"])
         series[key].append((float(rec["snr_db"]), float(rec["value"])))
@@ -255,16 +258,14 @@ ax.set_ylim(1e-7, 1.0)
 ax.grid(True, which="both", alpha=0.4)
 ax.legend(fontsize=7)
 fig.tight_layout()
-fig.savefig("{stem}.png", dpi=200)
-print("wrote {stem}.png")
+fig.savefig({png_name!r}, dpi=200)
+print("wrote", {png_name!r})
 """
 
 
 def write_plot_script(csv_path: Path) -> Path:
     script_path = csv_path.with_name(csv_path.stem + "_plot.py")
-    script_path.write_text(
-        PLOT_SCRIPT.format(csv_name=csv_path.name, stem=csv_path.stem)
-    )
+    script_path.write_text(PLOT_SCRIPT.format(csv_name=csv_path.name, png_name=csv_path.stem + ".png"))
     return script_path
 
 
@@ -380,7 +381,7 @@ def run_figure_preset(
     """Reproduce one figure preset; returns (csv_path, plot_script_path)."""
     if name not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_PRESETS}")
-    analytic._check_nodes(nodes)  # refuses nodes < 16 before the first series runs
+    analytic._check_nodes(nodes)  # refuses nodes out of range before the first series runs
     if snr_override:  # every preset draws a curve over the grid
         _linear_snr(snr_override)
     rows = CsvRows()

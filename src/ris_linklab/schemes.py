@@ -26,6 +26,7 @@ the same gains from explicit per-element channels and reflector phases.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,15 @@ class Scheme(enum.Enum):
 _LEGS = {Scheme.DH_INTELLIGENT: 2, Scheme.AP_INTELLIGENT: 1}
 
 
-def _require_surface(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n_reflectors must be >= 1, got {n}")
+def _require_surface(n: int) -> int:
+    """A surface size as a Python int, refusing anything but a Python or numpy integer >= 1."""
+    try:
+        size = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n_reflectors must be an integer, got {n!r}") from None
+    if size < 1:
+        raise ValueError(f"n_reflectors must be >= 1, got {size}")
+    return size
 
 
 def _link_kind(scheme: Scheme, order: int, kind: ConstellationKind | None = None) -> ConstellationKind:
@@ -89,7 +96,7 @@ class SchemeConfig:
     constellation: Constellation
 
     def __post_init__(self) -> None:
-        _require_surface(self.n_reflectors)
+        object.__setattr__(self, "n_reflectors", _require_surface(self.n_reflectors))
         _link_kind(self.scheme, self.constellation.order, self.constellation.kind)
 
 
@@ -141,9 +148,9 @@ def draw_gains(
     has the law of n and is independent of g, so the counted errors keep
     their law.  ``out``, if given, is a float64 array of length
     ``trials`` that receives them; ``work``, if given, is another that DH
-    blind draws its Exp(1) block into.  Raises ValueError for ``n < 1``.
+    blind draws its Exp(1) block into.  Raises ValueError unless ``n`` is an integer >= 1.
     """
-    _require_surface(n)
+    n = _require_surface(n)
     if scheme.is_intelligent:
         return _amplitude_sums(rng, n, trials, _LEGS[scheme], out)
     if scheme is Scheme.DH_BLIND:

@@ -18,10 +18,10 @@ from ris_linklab.analytic import (
     _SNR_BLOCK,
     AnalyticModel,
     _brent,
+    _check_nodes,
     _gl_integral,
     _leggauss,
     db_to_linear,
-    log_mgf,
     mgf,
     required_snr_db,
     saturation_exponent,
@@ -88,22 +88,20 @@ class TestMgf:
     def test_rejects_non_finite_s(self, scheme, bad):
         """NaN would pass silently and -inf give NaN (inf/inf) or 0, by scheme."""
         m = model(scheme, 4, 1.0)
-        for call in (mgf, log_mgf):
-            for s in (bad, np.array([-1.0, bad])):
-                with pytest.raises(ValueError, match=r"finite s <= 0"):
-                    call(m, s)
+        for s in (bad, np.array([-1.0, bad])):
+            with pytest.raises(ValueError, match=r"finite s <= 0"):
+                mgf(m, s)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_shapes_follow_snr_and_s(self, scheme):
         """snr.shape + s.shape, each value that of its one-point call."""
         snr, s = np.array([1e-3, 0.5, 20.0]), np.array([[-1e-3, -0.5], [-1.0, -7.25]])
-        for call in (mgf, log_mgf):
-            assert np.ndim(call(model(scheme, 16, 0.5), -1.0)) == 0
-            grid = call(model(scheme, 16, snr), s)
-            assert grid.shape == (3, 2, 2)
-            for i, point in enumerate(snr):
-                for j, k in np.ndindex(s.shape):
-                    assert grid[i, j, k] == call(model(scheme, 16, point), s[j, k])
+        assert np.ndim(mgf(model(scheme, 16, 0.5), -1.0)) == 0
+        grid = mgf(model(scheme, 16, snr), s)
+        assert grid.shape == (3, 2, 2)
+        for i, point in enumerate(snr):
+            for j, k in np.ndindex(s.shape):
+                assert grid[i, j, k] == mgf(model(scheme, 16, point), s[j, k])
 
     def test_against_monte_carlo_expectation(self):
         """E[exp(s*gamma)] estimated from 1e6 draws of the true composite gain."""
@@ -131,14 +129,12 @@ class TestMgf:
                 m2, v = n * n * PI / 4.0, n * (4.0 - PI) / 2.0
             column = snr.reshape(-1, 1)
             den = 1.0 - s * v * column
-            want = -0.5 * np.log(den) + s * m2 * column / den
-            got = log_mgf(model(scheme, n, snr), s)
+            want = np.exp(-0.5 * np.log(den) + s * m2 * column / den)
+            got = mgf(model(scheme, n, snr), s)
             assert got.tobytes() == want.tobytes(), n
 
     def test_no_overflow_at_huge_n(self):
         m = model(Scheme.DH_INTELLIGENT, 10**6, 1.0)
-        value = log_mgf(m, -1.0)
-        assert np.isfinite(value) and value < -1e5
         assert mgf(m, -1.0) == 0.0  # clean underflow, no overflow anywhere
 
 
@@ -201,6 +197,28 @@ class TestSepMpsk:
         for call in calls:
             with pytest.raises(ValueError, match="nodes must be >= 16, got 15"):
                 call(model(scheme, 4, 1.0))
+
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rejects_more_than_4096_nodes(self, scheme, monkeypatch):
+        """For every scheme, before any nodes are built."""
+        monkeypatch.setattr("ris_linklab.analytic._leggauss", lambda nodes: pytest.fail("nodes were built"))
+        calls = [lambda m: sep_mpsk(m, 2, nodes=4097)]
+        if not scheme.is_access_point:
+            calls.append(lambda m: sep_mqam(m, 16, nodes=4097))
+        for call in calls:
+            with pytest.raises(ValueError, match="nodes must be <= 4096, got 4097"):
+                call(model(scheme, 4, 1.0))
+
+    def test_refuses_a_huge_node_count_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^nodes must be <= 4096, got 1000000000$"):
+                _check_nodes(10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def craig_quad(theta, x):

@@ -1,6 +1,7 @@
 """Tests for the command-line front end, CSV schema, figure presets and the
 README's library sketch."""
 
+import ast
 import csv
 import os
 import re
@@ -372,6 +373,21 @@ class TestMainEntry:
         assert all(np.isfinite(r.value) for r in rows)
         assert out.with_name("an_plot.py").exists()
 
+    def test_plot_script_names_its_files_as_literals(self, tmp_path, capsys):
+        """A CSV name holding quotes and a backslash still gives a script that
+        parses and opens that file; the CSV bytes and stdout do not change."""
+        argv = ["analytic", "--scheme", "dh_blind", "--n", "4", "--snr-start-db", "0", "--snr-stop-db", "0"]
+        name = "a\"b'c\\d.csv"
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / name}\n"
+        assert main([*argv, "--out", str(tmp_path / "plain.csv")]) == 0
+        assert (tmp_path / name).read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        tree = ast.parse((tmp_path / "a\"b'c\\d_plot.py").read_text())
+        calls = {getattr(node.func, "id", getattr(node.func, "attr", None)): node.args
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert calls["open"][0].value == name
+        assert calls["savefig"][0].value == "a\"b'c\\d.png"
+
     def test_simulate_subcommand(self, tmp_path):
         out = tmp_path / "sim.csv"
         rc = main([
@@ -595,6 +611,29 @@ class TestMainEntry:
         assert rc == 1
         assert "nodes must be >= 16" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--scheme", "dh_intelligent", "--n", "16", "4", "--snr-start-db", "-40", "--snr-stop-db", "-40",
+         "--out", "x.csv"],
+        ["figure", "fig6", "--out", "x.csv"],
+        ["compare", "--scheme-a", "dh_intelligent", "--scheme-b", "ap_intelligent", "--n-a", "16",
+         "--target", "1e-3"],
+    ], ids=["analytic", "figure", "compare"])
+    def test_nodes_above_4096_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        """One past the maximum has its own message, and is refused before
+        any series runs or any quadrature nodes are built."""
+        import ris_linklab.analytic as analytic_mod
+        import ris_linklab.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("work started before --nodes was checked")
+
+        monkeypatch.setattr(analytic_mod, "_leggauss", refuse)
+        monkeypatch.setattr(cli_mod, "run_sweep", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--nodes", "4097"]) == 1
+        assert "error: nodes must be <= 4096, got 4097\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, out, message", [
         (["simulate", "--scheme", "dh_intelligent", "--n", "64", "0", "--max-trials", "1000000"], "x.csv",

@@ -1,5 +1,6 @@
 """Tests for the four transmission schemes and their composite gains."""
 
+import re
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.special import k1
 from scipy.stats import ks_2samp
 
+from ris_linklab.analytic import AnalyticModel, saturation_exponent, waterfall_rate
 from ris_linklab.modulation import ConstellationKind, build_constellation, detect_ml
 from ris_linklab.rng import RngStream
 from ris_linklab.schemes import (
@@ -272,6 +274,36 @@ class TestDrawGainsRejectsEmptySurfaces:
     def test_rejects_n_below_one(self, scheme, n):
         with pytest.raises(ValueError, match=f"n_reflectors must be >= 1, got {n}"):
             draw_gains(scheme, n, RngStream(3).generator(), 10)
+
+
+class TestSurfaceIsAnInteger:
+    """N counts elements, so every entry point that takes it refuses a float
+    (also a whole one) or a string, naming the value, and keeps a Python or
+    numpy integer as a Python int."""
+
+    @pytest.mark.parametrize("n", [4.5, 4.0, np.float64(2.5), "4"], ids=["4.5", "4.0", "np-2.5", "str"])
+    def test_refuses_non_integer(self, n):
+        calls = [
+            lambda: SchemeConfig(Scheme.DH_BLIND, n, BPSK),
+            lambda: SchemeConfig(Scheme.AP_INTELLIGENT, n, AP4),
+            lambda: AnalyticModel(Scheme.DH_INTELLIGENT, n, 1.0),
+            lambda: waterfall_rate(Scheme.DH_INTELLIGENT, n, 2),
+            lambda: saturation_exponent(n),
+            *(lambda scheme=scheme: draw_gains(scheme, n, RngStream(1).generator(), 10) for scheme in Scheme),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"n_reflectors must be an integer, got {n!r}")):
+                call()
+
+    @pytest.mark.parametrize("n", [4, np.int64(4), np.int32(4), np.uint8(4)], ids=["int", "int64", "int32", "uint8"])
+    def test_keeps_integers_as_int(self, n):
+        assert type(SchemeConfig(Scheme.AP_INTELLIGENT, n, AP4).n_reflectors) is int
+        assert type(AnalyticModel(Scheme.DH_INTELLIGENT, n, 1.0).n_reflectors) is int
+        assert waterfall_rate(Scheme.DH_INTELLIGENT, n, 2) == waterfall_rate(Scheme.DH_INTELLIGENT, 4, 2)
+        assert saturation_exponent(n) == saturation_exponent(4)
+        for scheme in Scheme:
+            want = draw_gains(scheme, 4, RngStream(1).generator(), 10)
+            assert draw_gains(scheme, n, RngStream(1).generator(), 10).tobytes() == want.tobytes()
 
 
 class TestAmplitudeRowSums:
