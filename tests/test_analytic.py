@@ -198,7 +198,6 @@ class TestSepMpsk:
             with pytest.raises(ValueError, match="nodes must be >= 16, got 15"):
                 call(model(scheme, 4, 1.0))
 
-
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_rejects_more_than_4096_nodes(self, scheme, monkeypatch):
         """For every scheme, before any nodes are built."""
