@@ -44,6 +44,7 @@ its limit M(s) = 0.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -190,12 +191,18 @@ def _moments(scheme: Scheme, n: int) -> tuple[float, float]:
     return math.prod((n * n, *(PI,) * legs)) / 4.0**legs, 2 * n * (1 - PI**legs / 4.0**legs)
 
 
-def _check_nodes(nodes: int) -> None:
-    """Refuse a quadrature order below 16 or above _MAX_NODES, for every scheme."""
-    if nodes < 16:
-        raise ValueError(f"nodes must be >= 16, got {nodes}")
-    if nodes > _MAX_NODES:
-        raise ValueError(f"nodes must be <= {_MAX_NODES}, got {nodes}")
+def _check_nodes(nodes: int) -> int:
+    """A quadrature order as a Python int, refusing anything but a Python or
+    numpy integer from 16 to _MAX_NODES, for every scheme."""
+    try:
+        count = operator.index(nodes)
+    except TypeError:
+        raise ValueError(f"nodes must be an integer, got {nodes!r}") from None
+    if count < 16:
+        raise ValueError(f"nodes must be >= 16, got {count}")
+    if count > _MAX_NODES:
+        raise ValueError(f"nodes must be <= {_MAX_NODES}, got {count}")
+    return count
 
 
 @lru_cache(maxsize=32)
@@ -228,7 +235,7 @@ def _craig(model: AnalyticModel, c: float, theta: float, nodes: int):
     """Integral over eta in [0, theta] of M_gamma(-c / sin^2 eta), c > 0, for
     each point of the model's snr: by :func:`_gl_integral` of ``nodes``
     points for the intelligent schemes, in closed form for blind."""
-    _check_nodes(nodes)
+    nodes = _check_nodes(nodes)
     if not model.scheme.is_intelligent:
         return _blind_craig(theta, c * model.n_reflectors, model.snr)
 

@@ -7,9 +7,9 @@ Results are written as long-format CSV with the fixed header
 where ``metric`` is one of ``ber``, ``ser`` (simulation) or ``sep_exact``,
 ``sep_bound`` (analytic; the trailing columns are left empty).  Every float
 is printed with 17 significant digits so re-parsing reproduces the
-in-memory values exactly.  Rows go from the engines to the file as series
-blocks (CsvRows): one (scheme, N, M) over its SNR grid, each written by one
-string format, with the bytes a row-at-a-time writer gives.
+in-memory values exactly (see :func:`write_rows`).  Rows go from the
+engines to the file as series blocks (CsvRows): one (scheme, N, M) over its
+SNR grid, each joined in one pass, with the bytes a row-at-a-time writer gives.
 Alongside each CSV a small matplotlib script is generated; the tool itself
 renders nothing.
 
@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, groupby
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -121,42 +121,41 @@ class _Block:
                 yield CsvRow(self.scheme, self.n, self.m, db, metric,
                              *(None if f is None else f[j][i] for f in fields))
 
-    def text(self, snr_text: dict) -> str:
-        """The block's CSV lines: one template line per metric, repeated once
-        per SNR and filled by one ``%``.  ``snr_text`` holds the SNR texts
-        already formatted for the file."""
-        fields = ((self.value, "%.17g"), (self.trials, "%s"), (self.errors, "%s"), (self.stderr, "%.17g"))
-        tail = ",".join("" if f is None else fmt for f, fmt in fields)
-        prefix = f"{self.scheme},{self.n},{self.m},".replace("%", "%%")
-        template = "".join(f"{prefix}%s,{metric.replace('%', '%%')},{tail}\n" for metric in self.metrics)
-        columns = [f for f, _ in fields if f is not None]
-        width = 1 + len(columns)  # the SNR, then each filled column
-        stride = width * len(self.metrics)
-        args = [None] * (stride * len(self.snr_db))
-        texts = _snr_texts(self.snr_db, snr_text)
+    def floats(self) -> Iterator[Sequence[float]]:
+        """The block's float columns in the order :meth:`text` takes their
+        texts: the SNRs, then at each metric its value and its stderr."""
+        yield self.snr_db
         for j in range(len(self.metrics)):
-            args[j * width :: stride] = texts
-            for c, column in enumerate(columns, j * width + 1):
-                args[c::stride] = _items(column[j])
-        return (template * len(self.snr_db)) % tuple(args)
+            yield self.value[j]
+            if self.stderr is not None:
+                yield self.stderr[j]
+
+    def text(self, texts: Iterator[str]) -> str:
+        """The block's CSV lines, joined SNR by SNR from the pieces of its
+        lines there: constant strings and columns of texts.  ``texts`` yields
+        the text of each value of the block's float columns (see :meth:`floats`)."""
+        count = len(self.snr_db)
+        take = lambda: list(islice(texts, count))
+        snr = take()
+        pieces = []
+        for j, metric in enumerate(self.metrics):
+            pieces += [f"{self.scheme},{self.n},{self.m},", snr, f",{metric},", take()]
+            for ints in (self.trials, self.errors):
+                pieces += [",", "" if ints is None else list(map(str, _items(ints[j])))]
+            pieces += [",", "" if self.stderr is None else take(), "\n"]
+        merged = []  # adjacent constants as one
+        for piece in pieces:
+            if isinstance(piece, str) and merged and isinstance(merged[-1], str):
+                merged[-1] += piece
+            else:
+                merged.append(piece)
+        columns = (repeat(p, count) if isinstance(p, str) else p for p in merged)
+        return "".join(chain.from_iterable(zip(*columns)))
 
 
 def _items(column: Sequence) -> Sequence:
     """A column's values as Python objects: an array's through ``tolist``."""
     return column.tolist() if isinstance(column, np.ndarray) else column
-
-
-def _snr_texts(snr_db: Sequence[float], cache: dict) -> list[str]:
-    """Each SNR as ``%.17g``, formatted once per cache."""
-    texts = list(map(cache.get, snr_db))
-    if None in texts:
-        for i, text in enumerate(texts):
-            if text is None:
-                db = snr_db[i]
-                texts[i] = text = "%.17g" % db
-                if db:  # 0.0 == -0.0 as keys, but they print as 0 and -0
-                    cache[db] = text
-    return texts
 
 
 class CsvRows:
@@ -210,15 +209,191 @@ def _row_blocks(rows: Iterable[CsvRow]) -> Iterator[_Block]:
 
 
 def write_rows(rows: CsvRows | Iterable[CsvRow], path: Path) -> None:
-    """Write rows under CSV_HEADER, one block at a time: floats with 17
-    significant digits, None as an empty field.  The CsvRows of a plain
-    iterable are merged into blocks first (see :func:`_row_blocks`).  Scheme
-    and metric names go unquoted: no commas or quotes."""
-    snr_text = {}
+    """Write rows under CSV_HEADER, one block at a time, None as an empty
+    field.  The CsvRows of a plain iterable are merged into blocks first (see
+    :func:`_row_blocks`).  Scheme and metric names go unquoted: no commas or
+    quotes.
+
+    Every float (snr_db, value, stderr) is written as the bytes of
+    ``"%.17g" % v``: 17 significant digits, so reading it back gives the same
+    double.  :func:`_format_floats` forms them in numpy, _FLOAT_SLICE values
+    of the file at a time.  Python's ``%`` formats only the values it cannot
+    certify: NaN and the infinities, nonzero magnitudes below 1e-270 or from
+    1e270 up, and values within 1e-6 of a tie at the 17th digit."""
+    blocks = list(_blocks(rows))
+    floats = chain.from_iterable(block.floats() for block in blocks)
+    texts = chain.from_iterable(map(_format_floats, _float_slices(floats)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for block in _blocks(rows):
-            fh.write(block.text(snr_text))
+        for block in blocks:
+            fh.write(block.text(texts))
+
+
+_FLOAT_SLICE = 4096  # values per _format_floats call, whose arrays stay under 1 MB
+_CERTIFIED = (1e-270, 1e270)  # the nonzero magnitudes _decimal17 can certify
+_POW_MIN, _POW_MAX = -256, 288  # 10**(16 - e) for e within 2 of the decimal exponents there
+
+# The canvas of _format_floats: one row of _WIDTH bytes per value, the columns
+# it may keep in order: a sign, the "0.000" of 1e-4 <= |v| < 0.1, digit i at
+# column 6 + 2i with a slot for a point after it, then "e+000" and a comma.
+_CANVAS = b"-0.000" + b"0." * 16 + b"0" + b"e+000,"
+_WIDTH = len(_CANVAS)
+_FIXED_LAYOUTS = 21 * 17  # (e, digits) for -4 <= e <= 16; then (3-digit exponent, digits)
+_EXPONENTS = range(-300, 301)  # decimal exponents with a tabled text: every certified one
+
+
+def _float_slices(columns: Iterable[Sequence[float]]) -> Iterator[np.ndarray]:
+    """The values of the columns in turn, as float64 arrays of _FLOAT_SLICE
+    values (the last one shorter); a list's values go through ``float``, as
+    ``%`` takes them."""
+    pending = np.empty(0)
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column = column.astype(np.float64, copy=False)
+        else:
+            column = np.fromiter(map(float, column), np.float64, len(column))
+        pending = np.concatenate((pending, column))
+        while len(pending) >= _FLOAT_SLICE:
+            yield pending[:_FLOAT_SLICE]
+            pending = pending[_FLOAT_SLICE:]
+    if len(pending):
+        yield pending
+
+
+@cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The tables of :func:`_decimal17` and :func:`_format_floats`, built at
+    the first call, from exact Python ints and no other module:
+
+    * 10**p for p = _POW_MIN ... _POW_MAX as a double-double hi + lo, each
+      part correctly rounded (int to float, or int true division for p < 0),
+      and hi split into its top 26 bits and the rest (Dekker's split);
+    * the four ASCII digits of 0 ... 9999, each as one uint32, and the count
+      of their trailing zeros (4 for 0);
+    * the sign and three digits of each exponent in _EXPONENTS;
+    * the canvas columns kept in each layout, two rows per layout: positive
+      and negative.
+    """
+    hi, lo = [], []
+    for p in range(_POW_MIN, _POW_MAX + 1):
+        if p >= 0:
+            hi.append(float(10**p))
+            lo.append(float(10**p - int(hi[-1])))
+        else:
+            scale = 10**-p
+            hi.append(1 / scale)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * scale) / (den * scale))
+    hi, lo = np.array(hi), np.array(lo)
+    top = hi * 134217729.0  # 2**27 + 1
+    top -= top - hi
+
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1).reshape(10_000, 4)
+    zero = quads == ord("0")
+    quad_zeros = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0].astype(np.uint8))))
+    exponents = np.frombuffer(b"".join(b"%+04d" % k for k in _EXPONENTS), np.uint8).reshape(-1, 4)
+
+    # A layout is an exponent e in -4 ... 16 (fixed point) or a 2- or
+    # 3-digit exponent, and a count of significant digits 1 ... 17.
+    digits = np.tile(np.arange(1, 18), 23)
+    e = np.concatenate((np.arange(-4, 17).repeat(17), np.zeros(34, int)))  # exponent form: a point after one digit
+    scientific = np.arange(len(e)) >= _FIXED_LAYOUTS
+    keep = np.zeros((len(e), _WIDTH), bool)
+    keep[:, 1:6] = (np.arange(5) <= -e[:, None]) & (e < 0)[:, None]
+    keep[:, 6:39:2] = np.arange(17) < np.where(e >= 0, np.maximum(digits, e + 1), digits)[:, None]
+    keep[:, 7:39:2] = (np.arange(16) == e[:, None]) & (digits > e + 1)[:, None]
+    keep[:, 39:44] = scientific[:, None]
+    keep[:, 41] &= np.arange(len(e)) >= _FIXED_LAYOUTS + 17
+    keep[:, 44] = True
+    keep = keep.repeat(2, axis=0)
+    keep[1::2, 0] = True
+    return hi, top, hi - top, lo, quads.view(np.uint32).ravel(), quad_zeros, exponents, keep
+
+
+def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Magnitudes a >= 0 as d * 10**(e - 16): d the 17-digit int64 that
+    ``%.17g`` rounds a to (half to even), e the decimal exponent, and whether
+    each is certified (zero is, as d = e = 0; see :func:`write_rows`).
+
+    e starts from log10 and moves by one where round(a * 10**(16 - e)) leaves
+    [10**16, 10**17).  The product is formed as a double-double, with
+    Dekker's two-product on the table's split powers (numpy has no fma): it
+    is within about 1e-14 of the exact value, so a remainder within 1e-6 of a
+    half (an exact tie or near one) is left to ``%``."""
+    hi, top, rest, lo = _format_tables()[:4]
+    fast = (a >= _CERTIFIED[0]) & (a < _CERTIFIED[1])
+    zero = a == 0
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+
+    def scaled(a, e):  # floor(a * 10**(16 - e)) and the remainder
+        p = 16 - _POW_MIN - e
+        product = a * hi.take(p)
+        split = a * 134217729.0
+        a_top = split - (split - a)
+        a_rest = a - a_top
+        top_p, rest_p = top.take(p), rest.take(p)
+        error = ((a_top * top_p - product) + a_top * rest_p + a_rest * top_p) + a_rest * rest_p
+        whole = np.floor(product)
+        remainder = (product - whole) + (error + a * lo.take(p))
+        carry = np.floor(remainder)
+        return whole.astype(np.int64) + carry.astype(np.int64), remainder - carry
+
+    whole, frac = scaled(a, e)
+    for _ in range(2):
+        off = np.flatnonzero((whole < 10**16) | (whole >= 10**17))
+        if not len(off):
+            break
+        e[off] += np.where(whole[off] < 10**16, -1, 1)
+        whole[off], frac[off] = scaled(a[off], e[off])
+    fast &= (whole >= 10**16) & (whole < 10**17) & (np.abs(frac - 0.5) >= 1e-6)
+    d = whole + (frac > 0.5)
+    carry = d == 10**17  # 99999999999999999.5 and up rounds to 1e17
+    d[carry] = 10**16
+    e += carry
+    d[zero] = e[zero] = 0
+    return d, e, fast | zero
+
+
+def _format_floats(values: np.ndarray) -> list[str]:
+    """The ``"%.17g" % v`` text of each value: the kept bytes of its
+    :func:`_canvas` row, split at the commas, or ``%``'s text where it is
+    not certified."""
+    canvas, kept, fast = _canvas(values)
+    texts = canvas.ravel().compress(kept.ravel()).tobytes().decode().split(",")
+    texts.pop()  # after the last comma
+    for i in np.flatnonzero(~fast).tolist():
+        texts[i] = "%.17g" % values[i]
+    return texts
+
+
+def _canvas(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's row of the _CANVAS layout, with its digits and exponent
+    (:func:`_decimal17`) written; the columns its layout keeps; and whether
+    it is certified.  Apart from :func:`_format_floats`, so that its
+    temporaries are freed before the texts are made."""
+    *_, quads, quad_zeros, exponents, keep = _format_tables()
+    d, e, fast = _decimal17(np.abs(values))
+    count = len(values)
+    top = d // 10**8  # the lead digit and the next 8
+    lead = top // 10**8
+    halves = np.stack((top - lead * 10**8, d - top * 10**8), axis=1)
+    high = halves // 10**4
+    groups = np.stack((high, halves - high * 10**4), axis=2).reshape(count, 4)  # the other 16 digits
+    zeros = quad_zeros.take(groups)
+    nonzero = groups != 0
+    trailing = np.where(nonzero[:, 3], zeros[:, 3], np.where(nonzero[:, 2], 4 + zeros[:, 2],
+                        np.where(nonzero[:, 1], 8 + zeros[:, 1], 12 + zeros[:, 0])))
+
+    canvas = np.empty((count, _WIDTH), np.uint8)
+    canvas[:] = np.frombuffer(_CANVAS, np.uint8)
+    canvas[:, 6] = lead + ord("0")
+    canvas[:, 8:39:2] = quads.take(groups).view(np.uint8).reshape(count, 16)
+    canvas[:, 40:44] = exponents.take(e - _EXPONENTS[0], axis=0)
+    fixed = (e >= -4) & (e < 17)
+    layout = np.where(fixed, (e + 4) * 17, _FIXED_LAYOUTS + 17 * (np.abs(e) >= 100)) + 16 - trailing
+    return canvas, keep.take(2 * layout + np.signbit(values), axis=0), fast
 
 
 def read_rows(path: Path) -> list[CsvRow]:

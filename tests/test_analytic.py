@@ -209,6 +209,19 @@ class TestSepMpsk:
             with pytest.raises(ValueError, match="nodes must be <= 4096, got 4097"):
                 call(model(scheme, 4, 1.0))
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_node_count_must_be_an_integer(self, scheme):
+        """For every scheme: a float count is refused as such (intelligent used
+        to fail inside numpy's leggauss, blind to accept it), and a numpy
+        integer gives the bytes of the Python int."""
+        m = model(scheme, 4, np.array([0.01, 1.0, 100.0]))
+        seps = [(sep_mpsk, 2)] if scheme.is_access_point else [(sep_mpsk, 2), (sep_mqam, 16)]
+        for sep, order in seps:
+            for bad in (100.5, 64.0, "64"):
+                with pytest.raises(ValueError, match=rf"^nodes must be an integer, got {bad!r}$"):
+                    sep(m, order, nodes=bad)
+            assert sep(m, order, nodes=np.int64(64)).tobytes() == sep(m, order, nodes=64).tobytes()
+
     def test_refuses_a_huge_node_count_without_allocating(self):
         tracemalloc.start()
         try:
