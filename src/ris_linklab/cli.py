@@ -219,7 +219,8 @@ def write_rows(rows: CsvRows | Iterable[CsvRow], path: Path) -> None:
     double.  :func:`_format_floats` forms them in numpy, _FLOAT_SLICE values
     of the file at a time.  Python's ``%`` formats only the values it cannot
     certify: NaN and the infinities, nonzero magnitudes below 1e-270 or from
-    1e270 up, and values within 1e-6 of a tie at the 17th digit."""
+    1e270 up, and values within 1e-6 of a tie at the 17th digit; and every
+    value of a slice shorter than _NUMPY_FROM, such as a small file's."""
     blocks = list(_blocks(rows))
     floats = chain.from_iterable(block.floats() for block in blocks)
     texts = chain.from_iterable(map(_format_floats, _float_slices(floats)))
@@ -230,6 +231,7 @@ def write_rows(rows: CsvRows | Iterable[CsvRow], path: Path) -> None:
 
 
 _FLOAT_SLICE = 4096  # values per _format_floats call, whose arrays stay under 1 MB
+_NUMPY_FROM = 256  # shorter slices go to % whole: numpy's cost per call outweighs its gain there
 _CERTIFIED = (1e-270, 1e270)  # the nonzero magnitudes _decimal17 can certify
 _POW_MIN, _POW_MAX = -256, 288  # 10**(16 - e) for e within 2 of the decimal exponents there
 
@@ -359,7 +361,9 @@ def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _format_floats(values: np.ndarray) -> list[str]:
     """The ``"%.17g" % v`` text of each value: the kept bytes of its
     :func:`_canvas` row, split at the commas, or ``%``'s text where it is
-    not certified."""
+    not certified or the slice is shorter than _NUMPY_FROM."""
+    if len(values) < _NUMPY_FROM:
+        return ["%.17g" % v for v in values.tolist()]
     canvas, kept, fast = _canvas(values)
     texts = canvas.ravel().compress(kept.ravel()).tobytes().decode().split(",")
     texts.pop()  # after the last comma

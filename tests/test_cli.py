@@ -3,26 +3,33 @@ README's library sketch."""
 
 import ast
 import csv
+import math
 import os
 import re
 import subprocess
 import sys
 import types
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_linklab.analytic import _SNR_BLOCK, AnalyticModel, db_to_linear, sep_upper_bound
 from ris_linklab.cli import (
+    _NUMPY_FROM,
     CSV_HEADER,
     FIGURES,
     CsvRow,
     CsvRows,
     _blocks,
     _build_parser,
+    _canvas,
     _constellation_kind,
     _exact_sep,
+    _format_floats,
     _snr_grid,
     analytic_rows,
     compare,
@@ -184,6 +191,101 @@ class TestCsvSchema:
         write_rows(analytic_rows(Scheme.DH_BLIND, 2, 2, [0.0]), out)
         raw = out.read_bytes()
         assert b"\r" not in raw
+
+
+def percent_texts(values) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(values, np.float64).tolist()]
+
+
+def doubles(bits) -> np.ndarray:
+    return np.asarray(bits, np.uint64).view(np.float64)
+
+
+class TestFloatTexts:
+    """The numpy formatter behind write_rows against Python's ``%.17g``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.integers(0, 2**64 - 1).map(lambda b: float(doubles([b])[0]))
+                              .filter(math.isfinite)), min_size=1, max_size=64))
+    def test_every_finite_double(self, values):
+        """Arbitrary finite doubles, subnormals and both zeros included: any
+        bit pattern, and hypothesis's own edge-seeking floats, repeated up to
+        the shortest slice numpy formats."""
+        values = np.resize(np.array(values), _NUMPY_FROM)
+        assert _format_floats(values) == percent_texts(values)
+
+    def test_edge_values(self):
+        """Zeros, NaN, the infinities, every power of ten with both
+        neighbours, the fixed/exponent switch at 1e-4 and 1e16 to 1e17,
+        float32-widened values and exact ties at the 17th digit."""
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        ties = [10**15 + 0.25, 123456789012345.125, 987654321098765.375, 2.0**-25, 3 * 2.0**-25,
+                *(np.arange(10**15, 10**15 + 64) + 0.25), *(np.arange(10**14, 10**14 + 64) + 0.125)]
+        for tie in ties:  # exactly 18 significant digits, the last a 5
+            digits = Decimal(float(tie)).normalize().as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, tie
+        rng = np.random.default_rng(2)
+        float32s = np.concatenate([
+            np.float32([0.1, 1 / 3, 2.5e-3, 3.4028235e38, 1.4e-45, 1.1754944e-38]),
+            rng.standard_normal(500, np.float32) * np.float32(10.0) ** rng.integers(-30, 30, 500)]).astype(np.float64)
+        values = np.concatenate([
+            [0.0, -0.0, np.nan, np.inf, -np.inf, 9.9999999999999999e-5, 1e-4, 1e-5, 1e16, 1e17,
+             99999999999999999.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), ties, float32s])
+        values = np.concatenate([values, -values])
+        texts = _format_floats(values)
+        assert texts == percent_texts(values)
+        assert texts[:5] == ["0", "-0", "nan", "inf", "-inf"]
+        assert "-nan" not in texts
+
+    def test_certifies_all_but_a_few_curve_values(self, tmp_path, monkeypatch):
+        """Writing a fine grid of every scheme's curves and bounds, every
+        value goes through numpy and fewer than 2 % of them go on to the
+        ``%`` fallback, so the fast path cannot slide off unseen."""
+        import ris_linklab.cli as cli_mod
+
+        certified = []
+
+        def recorded(values):
+            canvas, kept, fast = _canvas(values)
+            certified.append(fast)
+            return canvas, kept, fast
+
+        monkeypatch.setattr(cli_mod, "_canvas", recorded)
+        grid = _snr_grid(-60.0, 0.0, 0.1)
+        rows = CsvRows()
+        for scheme in Scheme:
+            for n in (2**k for k in range(13)):  # 1 ... 4096
+                rows += analytic_rows(scheme, n, 4 if scheme.is_access_point else 16, grid, include_bound=True)
+        write_rows(rows, tmp_path / "curves.csv")
+        fast = np.concatenate(certified)
+        assert len(fast) == sum(len(b.snr_db) * (1 + len(b.metrics)) for b in rows.blocks) > 90_000
+        assert np.count_nonzero(~fast) < 0.02 * len(fast)
+        assert (tmp_path / "curves.csv").read_bytes() == csv_module_bytes(rows, tmp_path / "reference.csv")
+
+    @pytest.mark.parametrize("float_slice, numpy_from", [(7, 1), (4096, _NUMPY_FROM)])
+    def test_writer_slices_across_blocks(self, tmp_path, monkeypatch, float_slice, numpy_from):
+        """Floats formatted in slices that cut through blocks, columns and
+        lines, with NaN, infinities and subnormals among them, write the
+        bytes of the csv.writer reference."""
+        import ris_linklab.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_FLOAT_SLICE", float_slice)
+        monkeypatch.setattr(cli_mod, "_NUMPY_FROM", numpy_from)
+        rng = np.random.default_rng(5)
+        odd = [np.nan, np.inf, -np.inf, 5e-324, -0.0, 1e300, 1e-300]
+        pick = lambda: float(rng.choice(odd)) if rng.random() < 0.1 else float(rng.standard_normal() * 10.0 ** rng.integers(-20, 20))
+        rows = []
+        for series_index in range(12):
+            simulated = series_index % 3 == 0
+            for snr in rng.uniform(-60, 30, rng.integers(1, 900)).tolist():
+                for metric in ("ber", "ser") if simulated else ("sep_exact",):
+                    rows.append(CsvRow("dh_blind", series_index, 2, snr, metric, pick(),
+                                       *((int(rng.integers(0, 10**6)), 7, pick()) if simulated else ())))
+        assert len(rows) > 4096  # over two slices of floats at the default slice size
+        write_rows(rows, tmp_path / "rows.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == csv_module_bytes(rows, tmp_path / "reference.csv")
 
 
 def series(rows):
