@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +84,8 @@ class CsvRow:
 
 
 class _Block:
-    """The rows of one series (scheme, N, M) over its SNR grid, or a stretch
-    of it, SNR-major: at each SNR one row per metric.  ``value`` holds one
+    """The rows of one series (scheme, N, M) over its SNR grid, or one plain
+    row, SNR-major: at each SNR one row per metric.  ``value`` holds one
     column over the grid per metric, a list or a float array; so do ``trials``,
     ``errors`` and ``stderr``, or they are None where the field is left
     empty.  A plain class, as a frozen dataclass would add 0.7 ms to each
@@ -186,44 +186,31 @@ class CsvRows:
 
 
 def _blocks(rows: CsvRows | Iterable[CsvRow]) -> Iterable[_Block]:
-    return rows.blocks if isinstance(rows, CsvRows) else _row_blocks(rows)
-
-
-def _row_blocks(rows: Iterable[CsvRow]) -> Iterator[_Block]:
-    """Plain rows as blocks that write the same bytes.  An SNR group is a run
-    of rows with one series text, one empty-field pattern and one SNR of one
-    sign (0.0 and -0.0 print apart); each run of SNR groups that share all
-    but the SNR and have the same metrics becomes one block."""
-    def key(r: CsvRow) -> tuple:
-        return (f"{r.scheme},{r.n},{r.m}", r.trials is None, r.errors is None, r.stderr is None,
-                r.snr_db, math.copysign(1.0, r.snr_db))
-
-    groups = (list(group) for _, group in groupby(rows, key))
-    for _, run in groupby(groups, lambda group: (key(group[0])[:4], [r.metric for r in group])):
-        run = list(run)
-        first = run[0][0]
-        column = lambda name: None if getattr(first, name) is None else tuple(
-            [getattr(r, name) for r in metric_rows] for metric_rows in zip(*run))
-        yield _Block(first.scheme, first.n, first.m, [group[0].snr_db for group in run],
-                     tuple(r.metric for r in run[0]), *map(column, ("value", "trials", "errors", "stderr")))
+    """A CsvRows' own blocks, or one block per plain CsvRow."""
+    if isinstance(rows, CsvRows):
+        return rows.blocks
+    column = lambda field: None if field is None else ([field],)
+    return (_Block(r.scheme, r.n, r.m, [r.snr_db], (r.metric,), ([r.value],),
+                   column(r.trials), column(r.errors), column(r.stderr)) for r in rows)
 
 
 def write_rows(rows: CsvRows | Iterable[CsvRow], path: Path) -> None:
     """Write rows under CSV_HEADER, one block at a time, None as an empty
-    field.  The CsvRows of a plain iterable are merged into blocks first (see
-    :func:`_row_blocks`).  Scheme and metric names go unquoted: no commas or
-    quotes.
+    field; a plain CsvRow is a block of its own.  Scheme and metric names go
+    unquoted: no commas or quotes.
 
     Every float (snr_db, value, stderr) is written as the bytes of
     ``"%.17g" % v``: 17 significant digits, so reading it back gives the same
-    double.  :func:`_format_floats` forms them in numpy, _FLOAT_SLICE values
-    of the file at a time.  Python's ``%`` formats only the values it cannot
-    certify: NaN and the infinities, nonzero magnitudes below 1e-270 or from
-    1e270 up, and values within 1e-6 of a tie at the 17th digit; and every
-    value of a slice shorter than _NUMPY_FROM, such as a small file's."""
+    double.  A file's floats are gathered once (:func:`_gathered_floats`) and
+    :func:`_format_floats` forms them in numpy, _FLOAT_SLICE values at a
+    time.  Python's ``%`` formats only the values it cannot certify: NaN and
+    the infinities, nonzero magnitudes below 1e-270 or from 1e270 up, and
+    values within 1e-6 of a tie at the 17th digit; and every value of a slice
+    shorter than _NUMPY_FROM, such as a small file's."""
     blocks = list(_blocks(rows))
-    floats = chain.from_iterable(block.floats() for block in blocks)
-    texts = chain.from_iterable(map(_format_floats, _float_slices(floats)))
+    floats = _gathered_floats(column for block in blocks for column in block.floats())
+    texts = chain.from_iterable(
+        _format_floats(floats[i:i + _FLOAT_SLICE]) for i in range(0, len(floats), _FLOAT_SLICE))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for block in blocks:
@@ -244,22 +231,15 @@ _FIXED_LAYOUTS = 21 * 17  # (e, digits) for -4 <= e <= 16; then (3-digit exponen
 _EXPONENTS = range(-300, 301)  # decimal exponents with a tabled text: every certified one
 
 
-def _float_slices(columns: Iterable[Sequence[float]]) -> Iterator[np.ndarray]:
-    """The values of the columns in turn, as float64 arrays of _FLOAT_SLICE
-    values (the last one shorter); a list's values go through ``float``, as
-    ``%`` takes them."""
-    pending = np.empty(0)
-    for column in columns:
-        if isinstance(column, np.ndarray):
-            column = column.astype(np.float64, copy=False)
-        else:
-            column = np.fromiter(map(float, column), np.float64, len(column))
-        pending = np.concatenate((pending, column))
-        while len(pending) >= _FLOAT_SLICE:
-            yield pending[:_FLOAT_SLICE]
-            pending = pending[_FLOAT_SLICE:]
-    if len(pending):
-        yield pending
+def _gathered_floats(columns: Iterable[Sequence[float]]) -> np.ndarray:
+    """The values of the columns in turn, as one float64 array (empty for no
+    columns); a list's values go through ``float``, as ``%`` takes them."""
+    arrays = [
+        column.astype(np.float64, copy=False) if isinstance(column, np.ndarray)
+        else np.fromiter(map(float, column), np.float64, len(column))
+        for column in columns
+    ]
+    return np.concatenate(arrays) if arrays else np.empty(0)
 
 
 @cache
@@ -466,19 +446,15 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
 def _linear_snr(grid_db: Sequence[float]) -> np.ndarray:
     """The linear Es/N0 10^(dB/10) of each grid point, refusing a point whose
     value is not a finite, non-zero float: outside about -3236 to +3082 dB."""
-    try:
-        snr = np.array([db_to_linear(db) for db in grid_db])
-    except OverflowError:
-        snr = None
-    if snr is None or not np.all((snr > 0) & (snr < math.inf)):
-        for db in grid_db:  # the first point to blame
-            try:
-                if 0.0 < db_to_linear(db) < math.inf:
-                    continue
-            except OverflowError:
-                pass
+    snr = []
+    for db in grid_db:
+        try:
+            snr.append(db_to_linear(db))
+        except OverflowError:
+            snr.append(math.inf)
+        if not 0.0 < snr[-1] < math.inf:
             raise ValueError(f"SNR {db} dB has no finite, non-zero linear value 10**(dB/10)")
-    return snr
+    return np.array(snr)
 
 
 def _constellation_kind(scheme: Scheme, order: int) -> ConstellationKind:

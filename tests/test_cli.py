@@ -3,6 +3,7 @@ README's library sketch."""
 
 import ast
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -143,11 +144,9 @@ class TestCsvSchema:
             assert line in reference
 
     def test_plain_row_lists_write_as_their_blocks(self, tmp_path):
-        """A list of CsvRow writes the bytes of the CsvRows it came from, and
-        each run of rows one block can hold (one series, one empty-field
-        pattern, the same metrics at each SNR) becomes one block: a whole
-        analytic series, which analytic_rows gives as one block, comes back
-        as one block.  A run that breaks its metric cycle ends its block there."""
+        """A list of CsvRow writes the bytes of the CsvRows it came from, each
+        plain row as a block of its own: whole series, mixed series, a lone
+        row and a run that breaks its metric cycle."""
         grid = [-40.0 + 0.5 * k for k in range(100)]
         assert len(grid) > _SNR_BLOCK
         bound = analytic_rows(Scheme.DH_INTELLIGENT, 16, 16, grid, include_bound=True)
@@ -161,17 +160,34 @@ class TestCsvSchema:
         broken = CsvRows()
         broken += simulated
         broken += [*list(simulated)[:3], *list(simulated)[4:]]  # the second SNR has no ser row
-        cases = {"bound": (bound, 1), "simulated": (simulated, 1), "mixed": (mixed, 3), "lone": (lone, 1),
-                 "broken": (broken, 3)}
-        for name, (rows, blocks) in cases.items():
+        cases = {"bound": bound, "simulated": simulated, "mixed": mixed, "lone": lone, "broken": broken}
+        for name, rows in cases.items():
             plain = list(rows)
-            assert len(list(_blocks(plain))) == blocks, name
+            blocks = list(_blocks(plain))
+            assert len(blocks) == len(plain) and all(len(block) == 1 for block in blocks), name
             write_rows(rows, tmp_path / f"{name}_blocks.csv")
             write_rows(plain, tmp_path / f"{name}_list.csv")
             assert (tmp_path / f"{name}_list.csv").read_bytes() == (tmp_path / f"{name}_blocks.csv").read_bytes()
             assert (tmp_path / f"{name}_list.csv").read_bytes() == csv_module_bytes(plain, tmp_path / "ref.csv")
             assert CsvRows(_blocks(plain)) == plain
         assert len(bound.blocks) == 1
+
+    @pytest.mark.parametrize("rows", [[], CsvRows()], ids=["list", "CsvRows"])
+    def test_no_rows_write_the_header_alone(self, tmp_path, rows):
+        out = tmp_path / "empty.csv"
+        write_rows(rows, out)
+        assert out.read_bytes() == (",".join(CSV_HEADER) + "\n").encode()
+
+    @pytest.mark.parametrize("field", ["value", "snr_db"])
+    def test_none_float_is_refused(self, tmp_path, field):
+        """A plain row whose value or SNR is None raises TypeError, as ``%``
+        does, and no field is written as nan."""
+        rows = [CsvRow("dh_blind", 4, 2, 0.0, "sep_exact", 0.25)] * 300  # past the slices % takes whole
+        rows.insert(100, dataclasses.replace(rows[0], **{field: None}))
+        out = tmp_path / "none.csv"
+        with pytest.raises(TypeError):
+            write_rows(rows, out)
+        assert not out.exists() or b"nan" not in out.read_bytes()
 
     def test_signed_zero_snr_keeps_its_sign(self, tmp_path):
         """0.0 == -0.0, so a cache keyed by SNR value could print one as the
